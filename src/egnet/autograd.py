@@ -162,6 +162,42 @@ def _scatter_windows(gwin, xshape, k, stride, p, padding):
     return _unpad_grad(gxp, p, padding, h, w)
 
 
+def _scatter_taps(g, kk, xshape, stride, p):
+    # Adjoint of a depthwise correlation with the shared (k, k) or
+    # per-channel (c, k, k) kernel ``kk``: each tap adds its scaled copy of
+    # g into the padded gradient.
+    n, c, h, w = xshape
+    oh, ow = g.shape[2], g.shape[3]
+    k = kk.shape[-1]
+    gxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=g.dtype)
+    tmp = np.empty_like(g)
+    for ki in range(k):
+        for kj in range(k):
+            tap = kk[ki, kj] if kk.ndim == 2 else kk[:, ki, kj][None, :, None, None]
+            gxp[:, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride] += np.multiply(
+                g, tap, out=tmp
+            )
+    return gxp
+
+
+def _scatter_separable(g, cols, rows, xshape, stride, p):
+    # Adjoint of ``ops._separable_raw``: per factor, g goes back through
+    # the horizontal taps, then through the vertical taps into the padded
+    # gradient.
+    n, c, h, w = xshape
+    oh, ow = g.shape[2], g.shape[3]
+    gxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=g.dtype)
+    gt = np.empty((n, c, oh, w + 2 * p), dtype=g.dtype)
+    htmp, vtmp = np.empty_like(g), np.empty_like(gt)
+    for col, row in zip(cols, rows):
+        gt.fill(0)
+        for j, b in enumerate(row):
+            gt[:, :, :, j : j + stride * ow : stride] += np.multiply(g, b, out=htmp)
+        for i, a in enumerate(col):
+            gxp[:, :, i : i + stride * oh : stride] += np.multiply(gt, a, out=vtmp)
+    return gxp
+
+
 def _unpad_grad(gxp, p, padding, h, w):
     if p == 0:
         return gxp
@@ -220,23 +256,22 @@ def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ops.ZERO):
     shared = ka.ndim == 2
     k = ka.shape[-1]
     p = (k - 1) // 2
+    factors = ops._low_rank(ka) if shared else None
 
     def vjp(g, needed):
         gx = gk = None
-        if needed[0] or needed[1]:
+        if needed[1]:
             win = ops._windows(ops._pad2d(xa, p, padding), k, stride)
-            if needed[1]:
-                if shared:
-                    gk = np.einsum("nchwkl,nchw->kl", win, g)
-                else:
-                    gk = np.einsum("nchwkl,nchw->ckl", win, g)[:, None]
-            if needed[0]:
-                kk = ka if shared else ka[:, 0]
-                if shared:
-                    gwin = g[:, :, :, :, None, None] * kk[None, None, None, None]
-                else:
-                    gwin = g[:, :, :, :, None, None] * kk[None, :, None, None]
-                gx = _scatter_windows(gwin, xa.shape, k, stride, p, padding)
+            if shared:
+                gk = np.einsum("nchwkl,nchw->kl", win, g)
+            else:
+                gk = np.einsum("nchwkl,nchw->ckl", win, g)[:, None]
+        if needed[0]:
+            if factors is not None:
+                gxp = _scatter_separable(g, *factors, xa.shape, stride, p)
+            else:
+                gxp = _scatter_taps(g, ka if shared else ka[:, 0], xa.shape, stride, p)
+            gx = _unpad_grad(gxp, p, padding, xa.shape[2], xa.shape[3])
         return gx, gk
 
     return tape._record("depthwise_conv2d", y, (xv, kv), vjp)
@@ -276,22 +311,20 @@ def maxpool2d(x):
     if tape is None:
         return y
     xv = _lift(tape, x)
-    xa = xv.value.data
-    n, c, h, w = xa.shape
-    oh, ow = h // 2, w // 2
+    xa, ya = xv.value.data, y.data
 
     def vjp(g, needed):
         if not needed[0]:
             return (None,)
-        v = xa[:, :, : oh * 2, : ow * 2].reshape(n, c, oh, 2, ow, 2)
-        flat = v.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, 4)
-        idx = flat.argmax(axis=-1)
-        rows = idx // 2 + 2 * np.arange(oh).reshape(1, 1, oh, 1)
-        cols = idx % 2 + 2 * np.arange(ow).reshape(1, 1, 1, ow)
+        # Each window's gradient goes to its first maximal element in
+        # row-major order (its first NaN, if any), as argmax would pick.
         gx = np.zeros_like(xa)
-        nn = np.arange(n).reshape(n, 1, 1, 1)
-        cc = np.arange(c).reshape(1, c, 1, 1)
-        gx[nn, cc, rows, cols] = g
+        free = np.ones(g.shape, dtype=bool)
+        for rows, cols in ops._pool_slices(*xa.shape[2:]):
+            s = xa[:, :, rows, cols]
+            hit = free & ((s == ya) | np.isnan(s))
+            np.copyto(gx[:, :, rows, cols], g, where=hit)
+            free &= ~hit
         return (gx,)
 
     return tape._record("maxpool2d", y, (xv,), vjp)

@@ -142,7 +142,8 @@ def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ZERO) -> Tens
 
     ``kernel`` is either ``(c, 1, k, k)`` with one filter per input channel,
     or a single shared ``(k, k)`` filter applied identically to every
-    channel (the form used by the fixed classical kernels).
+    channel (the form used by the fixed classical kernels).  A shared
+    filter of low rank runs as 1-D passes (see :func:`_low_rank`).
     """
     xa, ka = _data(x), _data(kernel)
     _check_padding(padding)
@@ -172,6 +173,42 @@ def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ZERO) -> Tens
     return Tensor._wrap(_depthwise_raw(xa, ka, stride, padding))
 
 
+def _low_rank(ka):
+    """Separable factors ``(cols, rows)`` of a shared ``(k, k)`` kernel, or None.
+
+    ``cols`` and ``rows`` are ``(r, k)`` in the kernel's dtype, with
+    ``ka = sum_i outer(cols[i], rows[i])`` to that dtype's rounding.  The
+    rank ``r`` counts singular values above ``s_max * k * eps``, numpy's
+    ``matrix_rank`` default.  None means the dense 2-D path is no more
+    work (``2 r k >= k k``) or the kernel is non-finite, where the dense
+    path propagates NaN/inf and the SVD would raise.
+    """
+    k = ka.shape[0]
+    if ka.dtype.kind != "f" or not np.isfinite(ka).all():
+        return None
+    u, s, vt = np.linalg.svd(ka.astype(np.float64))
+    r = int(np.count_nonzero(s > s[0] * k * np.finfo(ka.dtype).eps))
+    if 2 * r * k >= k * k:
+        return None
+    return (u[:, :r] * s[:r]).T.astype(ka.dtype), vt[:r].astype(ka.dtype)
+
+
+def _separable_raw(xp, cols, rows, stride, oh, ow) -> np.ndarray:
+    # Per factor: a vertical 1-D pass over the padded rows (keeping the
+    # stride), then a horizontal one over its columns, summed over factors.
+    n, c, _, wp = xp.shape
+    y = np.zeros((n, c, oh, ow), dtype=xp.dtype)
+    t = np.empty((n, c, oh, wp), dtype=xp.dtype)
+    vtmp, htmp = np.empty_like(t), np.empty_like(y)
+    for col, row in zip(cols, rows):
+        t.fill(0)
+        for i, a in enumerate(col):
+            t += np.multiply(xp[:, :, i : i + stride * oh : stride], a, out=vtmp)
+        for j, b in enumerate(row):
+            y += np.multiply(t[:, :, :, j : j + stride * ow : stride], b, out=htmp)
+    return y
+
+
 def _depthwise_raw(xa, ka, stride, padding) -> np.ndarray:
     k = ka.shape[-1]
     p = (k - 1) // 2
@@ -180,6 +217,9 @@ def _depthwise_raw(xa, ka, stride, padding) -> np.ndarray:
     n, c, hp, wp = xp.shape
     oh = (hp - k) // stride + 1
     ow = (wp - k) // stride + 1
+    factors = _low_rank(ka) if shared else None
+    if factors is not None:
+        return _separable_raw(xp, *factors, stride, oh, ow)
     if k <= 3:
         # Shift-and-accumulate: cheapest for small kernels.
         y = np.zeros((n, c, oh, ow), dtype=xa.dtype)
@@ -253,11 +293,19 @@ def maxpool2d(x) -> Tensor:
     return Tensor._wrap(_maxpool_raw(xa))
 
 
-def _maxpool_raw(xa) -> np.ndarray:
-    n, c, h, w = xa.shape
+def _pool_slices(h, w):
+    # (rows, cols) slices picking each 2x2 window's four elements, in
+    # row-major window order; a trailing odd row/column falls outside.
     oh, ow = h // 2, w // 2
-    v = xa[:, :, : oh * 2, : ow * 2].reshape(n, c, oh, 2, ow, 2)
-    return np.ascontiguousarray(v.max(axis=(3, 5)))
+    return [(slice(i, 2 * oh, 2), slice(j, 2 * ow, 2)) for i in (0, 1) for j in (0, 1)]
+
+
+def _maxpool_raw(xa) -> np.ndarray:
+    a, b, c, d = (xa[:, :, i, j] for i, j in _pool_slices(*xa.shape[2:]))
+    y = np.maximum(a, b)
+    np.maximum(y, c, out=y)
+    np.maximum(y, d, out=y)
+    return y
 
 
 def global_avg_pool(x) -> Tensor:

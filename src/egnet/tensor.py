@@ -108,10 +108,6 @@ class Tensor:
     def zeros(cls, shape, dtype=DEFAULT_DTYPE) -> "Tensor":
         return cls._wrap(np.zeros(shape, dtype=dtype))
 
-    @classmethod
-    def full(cls, shape, value, dtype=DEFAULT_DTYPE) -> "Tensor":
-        return cls._wrap(np.full(shape, value, dtype=dtype))
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self._data.shape}, dtype={self._data.dtype.name})"
 

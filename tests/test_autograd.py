@@ -7,6 +7,7 @@ from egnet import autograd as ag
 from egnet import ops
 from egnet.autograd import Tape, finite_diff_check
 from egnet.backbone import (
+    FIXED_KERNEL_SPECS,
     BackboneConfig,
     Mode,
     ParamView,
@@ -17,6 +18,7 @@ from egnet.backbone import (
     leg_block_forward,
 )
 from egnet.errors import ContractError, VerificationError
+from egnet.kernels import KernelSpec
 from egnet.tensor import Tensor
 
 
@@ -132,6 +134,17 @@ class TestPerOpGradients:
             dict(x=rng.normal(size=(1, 4, 6, 6)), k=rng.normal(size=(5, 5))),
         )
 
+    @pytest.mark.parametrize("name", ["fixed.gauss9_s05", "fixed.scharr_y", "fixed.log7"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [ops.ZERO, ops.REPLICATE])
+    def test_depthwise_low_rank_fixed_kernel(self, rng, name, stride, padding):
+        kern = KernelSpec(*FIXED_KERNEL_SPECS[name]).generate()
+        assert ops._low_rank(kern) is not None
+        check_op_grads(
+            lambda v: ag.depthwise_conv2d(v["x"], kern, stride=stride, padding=padding),
+            dict(x=rng.normal(size=(1, 2, 9, 10))),
+        )
+
     def test_conv1d_channels(self, rng):
         check_op_grads(
             lambda v: ag.conv1d_channels(v["v"], v["w"]),
@@ -192,6 +205,36 @@ class TestPerOpGradients:
                                  rng=np.random.default_rng(5)),
             dict(x=rng.normal(size=(1, 2, 6, 6))),
         )
+
+
+def _maxpool_input_grad(x, upstream):
+    tape = Tape()
+    xv = tape.leaf(Tensor(x), name="x")
+    return ag.backward(ag.sum_all(ag.mul(ag.maxpool2d(xv), Tensor(upstream))))["x"]
+
+
+class TestMaxpoolRouting:
+    def test_ties_go_to_first_maximum_in_row_major_order(self):
+        x = np.array([[[[1.0, 2.0, 5.0, 5.0],
+                        [2.0, 0.0, 5.0, 5.0],
+                        [3.0, 3.0, 7.0, 0.0],
+                        [3.0, 3.0, 1.0, 7.0]]]])
+        gx = _maxpool_input_grad(x, np.array([[[[10.0, 20.0], [30.0, 40.0]]]]))
+        expected = np.zeros_like(x)
+        expected[0, 0, 0, 1] = 10.0
+        expected[0, 0, 0, 2] = 20.0
+        expected[0, 0, 2, 0] = 30.0
+        expected[0, 0, 2, 2] = 40.0
+        np.testing.assert_array_equal(gx, expected)
+
+    def test_odd_tail_gets_zero_gradient(self, rng):
+        x = rng.normal(size=(2, 3, 5, 7))
+        upstream = rng.normal(size=(2, 3, 2, 3))
+        gx = _maxpool_input_grad(x, upstream)
+        assert not gx[:, :, 4, :].any() and not gx[:, :, :, 6].any()
+        windows = gx[:, :, :4, :6].reshape(2, 3, 2, 2, 3, 2)
+        np.testing.assert_array_equal(windows.sum(axis=(3, 5)), upstream)
+        assert np.count_nonzero(gx) == upstream.size
 
 
 class TestSqrtEpsAtZero:

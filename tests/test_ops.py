@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from egnet import ops
+from egnet.backbone import FIXED_KERNEL_SPECS
 from egnet.errors import (
     ConfigError,
     DegenerateInputError,
     DimensionError,
     DomainError,
 )
-from egnet.kernels import gaussian_kernel
+from egnet.kernels import KernelSpec, gaussian_kernel
 from egnet.tensor import Tensor
 
 from oracles import (
@@ -134,6 +135,67 @@ class TestDepthwise:
         k = _t(rng.normal(size=(2, 1, 3, 3)))
         with pytest.raises(DimensionError):
             ops.depthwise_conv2d(x, k)
+
+
+SHARED_KERNELS = {name: KernelSpec(*spec).generate() for name, spec in FIXED_KERNEL_SPECS.items()}
+SHARED_KERNELS["random5"] = np.random.default_rng(7).normal(size=(5, 5))
+
+
+class TestSharedKernel:
+    """Shared (k, k) kernels: 1-D passes where their rank allows, else the dense path."""
+
+    @pytest.mark.parametrize("name", sorted(SHARED_KERNELS))
+    def test_matches_loop_oracle(self, name, rng):
+        for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
+            x = rng.normal(size=(2, 3, 11, 10)).astype(dtype)
+            k = SHARED_KERNELS[name].astype(dtype)
+            for stride in (1, 2):
+                for padding in (ops.ZERO, ops.REPLICATE):
+                    got = ops.depthwise_conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding)
+                    ref = depthwise_naive(x, k, stride=stride, padding=padding)
+                    np.testing.assert_allclose(got.data, ref, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize(
+        "name, rank",
+        [
+            ("fixed.gauss9_s05", 1),
+            ("fixed.gauss5_s05", 1),
+            ("fixed.gauss5_s10", 1),
+            ("fixed.scharr_x", 1),
+            ("fixed.scharr_y", 1),
+            ("fixed.log7", 3),
+            ("random5", None),
+        ],
+    )
+    def test_detected_rank_float32(self, name, rank):
+        k = SHARED_KERNELS[name].astype(np.float32)
+        factors = ops._low_rank(k)
+        if rank is None:
+            assert factors is None
+        else:
+            cols, rows = factors
+            assert cols.shape == rows.shape == (rank, k.shape[0])
+            assert cols.dtype == rows.dtype == np.float32
+
+    @pytest.mark.parametrize("size", [3, 5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kernel_takes_dense_path(self, rng, size, bad):
+        x = rng.normal(size=(1, 2, 6, 7)).astype(np.float32)
+        k = gaussian_kernel(size, 1.0).astype(np.float32)
+        k[1, 2] = bad
+        assert ops._low_rank(k) is None
+        with np.errstate(invalid="ignore"):
+            got = ops.depthwise_conv2d(Tensor(x), Tensor(k), padding=ops.REPLICATE)
+        np.testing.assert_array_equal(got.data, depthwise_naive(x, k, padding="replicate"))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_all_zero_kernel_has_rank_zero(self, rng, stride):
+        k = np.zeros((5, 5), dtype=np.float32)
+        cols, rows = ops._low_rank(k)
+        assert cols.shape == rows.shape == (0, 5)
+        y = ops.depthwise_conv2d(_t(rng.normal(size=(1, 2, 7, 6))), Tensor(k), stride=stride)
+        np.testing.assert_array_equal(y.data, np.zeros(y.shape, dtype=np.float32))
+        assert y.shape == (1, 2, 7 if stride == 1 else 4, 6 if stride == 1 else 3)
 
 
 class TestConv1dChannels:
