@@ -1,169 +1,3 @@
-"""Optional JIT kernels for the finite-difference inner loop.
+"""The library has no JIT kernels; ``perfbench/run.py`` reads this flag."""
 
-Gradient checking evaluates tens of thousands of forward passes over
-tiny activations, where numpy's per-call overhead dominates.  These
-single-image (n == 1) kernels remove that overhead; they compute the
-same quantities as the raw routines in :mod:`egnet.ops` (summation order
-may differ at machine precision, which is far below the verification
-tolerance).  Everything degrades gracefully to numpy when numba is not
-importable.
-"""
-
-from __future__ import annotations
-
-import math
-
-import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(fn):
-            return fn
-
-        return deco if not (args and callable(args[0])) else args[0]
-
-
-_GELU_C = math.sqrt(2.0 / math.pi)
-
-
-@njit(cache=True)
-def bn_batch(x2, scale, shift, eps, apply_gelu):
-    """Batch-stat normalization over x2 (c, m), optionally fused with GELU."""
-    c, m = x2.shape
-    y = np.empty_like(x2)
-    for ci in range(c):
-        s = 0.0
-        for i in range(m):
-            s += x2[ci, i]
-        mu = s / m
-        s2 = 0.0
-        for i in range(m):
-            d = x2[ci, i] - mu
-            s2 += d * d
-        inv = scale[ci] / math.sqrt(s2 / m + eps)
-        b = shift[ci]
-        for i in range(m):
-            v = (x2[ci, i] - mu) * inv + b
-            if apply_gelu:
-                u = _GELU_C * (v + 0.044715 * v * v * v)
-                v = 0.5 * v * (1.0 + math.tanh(u))
-            y[ci, i] = v
-    return y
-
-
-@njit(cache=True)
-def gelu(x):
-    """Elementwise tanh-GELU over a flat array."""
-    y = np.empty_like(x)
-    for i in range(x.size):
-        v = x[i]
-        u = _GELU_C * (v + 0.044715 * v * v * v)
-        y[i] = 0.5 * v * (1.0 + math.tanh(u))
-    return y
-
-
-@njit(cache=True)
-def dw_shared(x3, kern, replicate):
-    """Depthwise conv of x3 (c, h, w) with one shared (k, k) kernel, stride 1."""
-    c, h, w = x3.shape
-    k = kern.shape[0]
-    p = (k - 1) // 2
-    y = np.empty_like(x3)
-    for ci in range(c):
-        for i in range(h):
-            for j in range(w):
-                acc = 0.0
-                for ki in range(k):
-                    ii = i + ki - p
-                    if replicate:
-                        ii = min(max(ii, 0), h - 1)
-                    for kj in range(k):
-                        jj = j + kj - p
-                        if replicate:
-                            jj = min(max(jj, 0), w - 1)
-                        if 0 <= ii < h and 0 <= jj < w:
-                            acc += kern[ki, kj] * x3[ci, ii, jj]
-                y[ci, i, j] = acc
-    return y
-
-
-@njit(cache=True)
-def dw_perchannel3(x3, kern):
-    """Depthwise 3x3 conv, one (3, 3) filter per channel, zero pad, stride 1."""
-    c, h, w = x3.shape
-    y = np.empty_like(x3)
-    for ci in range(c):
-        for i in range(h):
-            for j in range(w):
-                acc = 0.0
-                for ki in range(3):
-                    ii = i + ki - 1
-                    if ii < 0 or ii >= h:
-                        continue
-                    for kj in range(3):
-                        jj = j + kj - 1
-                        if 0 <= jj < w:
-                            acc += kern[ci, 0, ki, kj] * x3[ci, ii, jj]
-                y[ci, i, j] = acc
-    return y
-
-
-@njit(cache=True)
-def im2col_zero(x3, k, stride, out):
-    """Fill out (c*k*k, oh*ow) with zero-padded patches of x3 (c, h, w)."""
-    c, h, w = x3.shape
-    p = (k - 1) // 2
-    oh = (h + 2 * p - k) // stride + 1
-    ow = (w + 2 * p - k) // stride + 1
-    for ci in range(c):
-        for ki in range(k):
-            for kj in range(k):
-                row = (ci * k + ki) * k + kj
-                for oi in range(oh):
-                    ii = oi * stride + ki - p
-                    base = oi * ow
-                    if ii < 0 or ii >= h:
-                        for oj in range(ow):
-                            out[row, base + oj] = 0.0
-                        continue
-                    for oj in range(ow):
-                        jj = oj * stride + kj - p
-                        out[row, base + oj] = x3[ci, ii, jj] if 0 <= jj < w else 0.0
-    return oh, ow
-
-
-def conv2d_n1(x4, w4, stride):
-    """Zero-padded conv for a single image: JIT patch fill + BLAS matmul."""
-    c, h, wd = x4.shape[1], x4.shape[2], x4.shape[3]
-    cout, cin, k, _ = w4.shape
-    if k == 1 and stride == 1:
-        y = w4.reshape(cout, cin) @ x4.reshape(cin, h * wd)
-        return np.ascontiguousarray(y.reshape(1, cout, h, wd))
-    p = (k - 1) // 2
-    oh = (h + 2 * p - k) // stride + 1
-    ow = (wd + 2 * p - k) // stride + 1
-    cols = np.empty((cin * k * k, oh * ow), dtype=x4.dtype)
-    im2col_zero(x4[0], k, stride, cols)
-    y = w4.reshape(cout, cin * k * k) @ cols
-    return np.ascontiguousarray(y.reshape(1, cout, oh, ow))
-
-
-def warmup(dtype=np.float64) -> None:
-    """Trigger JIT compilation outside timed sections."""
-    if not HAVE_NUMBA:
-        return
-    x = np.ones((2, 4, 4), dtype=dtype)
-    bn_batch(x.reshape(2, 16), np.ones(2, dtype=dtype), np.zeros(2, dtype=dtype), 1e-5, True)
-    bn_batch(x.reshape(2, 16), np.ones(2, dtype=dtype), np.zeros(2, dtype=dtype), 1e-5, False)
-    gelu(x.ravel())
-    dw_shared(x, np.ones((3, 3), dtype=dtype), True)
-    dw_shared(x, np.ones((3, 3), dtype=dtype), False)
-    dw_perchannel3(x, np.ones((2, 1, 3, 3), dtype=dtype))
-    cols = np.empty((2 * 9, 16), dtype=dtype)
-    im2col_zero(x, 3, 1, cols)
+HAVE_NUMBA = False

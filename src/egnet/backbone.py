@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _fast
 from . import autograd as ag
 from . import ops
 from .autograd import GradReport, Tape, finite_diff_check
@@ -176,16 +175,17 @@ class Mode:
     def dropout_rng(self, tag: str) -> np.random.Generator:
         return np.random.default_rng([self.dropout_seed, zlib.crc32(tag.encode("ascii"))])
 
-    def fresh(self) -> "Mode":
-        return Mode(self.stats, self.dropout_seed)
-
 
 class ParamView:
     """Uniform parameter accessor for plain, overridden, and taped forwards.
 
     Taped access registers each parameter exactly once as a (possibly
-    frozen) named leaf; repeated lookups return the same Var.
+    frozen) named leaf; repeated lookups return the same Var.  ``ops`` is
+    the op set the block functions run: :mod:`egnet.autograd`, whose ops
+    take plain tensors and taped values alike.
     """
+
+    ops = ag
 
     def __init__(self, model: Model, tape: Tape | None = None, overrides=None):
         self._model = model
@@ -246,57 +246,41 @@ def _generate_fixed(name: str) -> np.ndarray:
     return sx if kind == "scharr_x" else sy
 
 
-def build_model(config: BackboneConfig, seed: int = 0) -> Model:
-    """Materialize every layer with named, seeded parameters.
+def param_specs(config: BackboneConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """Every parameter as ``(name, shape, init)``, in construction order.
 
-    Learnable conv weights are He-normal (std = sqrt(2 / fan_in)) drawn in
-    parameter order from one seeded generator, so a seed fully determines
-    the model bytes.  Norm layers start as identity (scale 1, shift 0,
-    running mean 0, var 1).  Fixed classical kernels are frozen.
+    This is the table a weight file for ``config`` must match; building it
+    draws no random numbers.  The ``fixed_kernel`` entries are the frozen
+    ones.
     """
-    rng = np.random.default_rng(seed)
-    params: dict[str, Param] = {}
+    specs = []
 
-    def put(name, arr, frozen=False, init="he_normal"):
-        if name in params:
-            raise ContractError(f"duplicate parameter name {name}")
-        params[name] = Param(name, Tensor(np.asarray(arr, dtype=DEFAULT_DTYPE)), frozen, init)
-
-    def conv(name, cout, cin, k):
-        std = math.sqrt(2.0 / (cin * k * k))
-        put(name, rng.normal(0.0, std, size=(cout, cin, k, k)))
-
-    def dwconv(name, c, k):
-        std = math.sqrt(2.0 / (k * k))
-        put(name, rng.normal(0.0, std, size=(c, 1, k, k)))
-
-    def vec(name, k):
-        std = math.sqrt(2.0 / k)
-        put(name, rng.normal(0.0, std, size=(k,)))
+    def put(name, shape, init="he_normal"):
+        specs.append((name, shape, init))
 
     def norm(prefix, c):
-        put(prefix + ".scale", np.ones(c), init="ones")
-        put(prefix + ".shift", np.zeros(c), init="zeros")
-        put(prefix + ".mean", np.zeros(c), init="zeros")
-        put(prefix + ".var", np.ones(c), init="ones")
+        put(prefix + ".scale", (c,), "ones")
+        put(prefix + ".shift", (c,), "zeros")
+        put(prefix + ".mean", (c,), "zeros")
+        put(prefix + ".var", (c,), "ones")
 
     def drfd(prefix, cin):
-        conv(prefix + ".conv3", 2 * cin, cin, 3)
+        put(prefix + ".conv3", (2 * cin, cin, 3, 3))
         norm(prefix + ".norm_conv.norm", 2 * cin)
-        conv(prefix + ".conv1", 2 * cin, cin, 1)
+        put(prefix + ".conv1", (2 * cin, cin, 1, 1))
         norm(prefix + ".norm_pool.norm", 2 * cin)
         norm(prefix + ".an.norm", 2 * cin)
 
-    for name in FIXED_KERNEL_SPECS:
-        put(name, _generate_fixed(name), frozen=True, init="fixed_kernel")
+    for name, (_, size, _) in FIXED_KERNEL_SPECS.items():
+        put(name, (size, size), "fixed_kernel")
 
     c = config.width
     half = c // 2
-    conv("stem.conv7", 3, 3, 7)
+    put("stem.conv7", (3, 3, 7, 7))
     norm("stem.an_log.norm", 3)
     norm("stem.res.norm", 3)
-    conv("stem.conv3", half, 3, 3)
-    conv("stem.convd3", half, half, 3)
+    put("stem.conv3", (half, 3, 3, 3))
+    put("stem.convd3", (half, half, 3, 3))
     norm("stem.mid.norm", half)
     drfd("stem.drfd", half)
 
@@ -308,20 +292,47 @@ def build_model(config: BackboneConfig, seed: int = 0) -> Model:
         k = eca_kernel_size(w, config.eca_gamma, config.eca_beta)
         for j in range(1, config.blocks[i - 1] + 1):
             b = f"s{i}.b{j}"
-            conv(b + ".ega.convblock.c1", w, w, 1)
+            put(b + ".ega.convblock.c1", (w, w, 1, 1))
             norm(b + ".ega.convblock.an1.norm", w)
-            dwconv(b + ".ega.convblock.c3", w, 3)
+            put(b + ".ega.convblock.c3", (w, 1, 3, 3))
             norm(b + ".ega.convblock.an2.norm", w)
-            conv(b + ".ega.convblock.c2", w, w, 1)
+            put(b + ".ega.convblock.c2", (w, w, 1, 1))
             norm(b + ".ega.convblock.out.norm", w)
-            conv(b + ".ega.conv3", w, w, 3)
-            vec(b + ".eca.w", k)
+            put(b + ".ega.conv3", (w, w, 3, 3))
+            put(b + ".eca.w", (k,))
             norm(b + ".leg.norm", w)
-            conv(b + ".expand", 2 * w, w, 1)
+            put(b + ".expand", (2 * w, w, 1, 1))
             norm(b + ".an.norm", 2 * w)
-            conv(b + ".reduce", w, 2 * w, 1)
+            put(b + ".reduce", (w, 2 * w, 1, 1))
             norm(b + ".out.norm", w)
 
+    return specs
+
+
+def build_model(config: BackboneConfig, seed: int = 0) -> Model:
+    """Materialize every layer with named, seeded parameters.
+
+    Learnable conv weights are He-normal (std = sqrt(2 / fan_in)) drawn in
+    parameter order from one seeded generator, so a seed fully determines
+    the model bytes.  Norm layers start as identity (scale 1, shift 0,
+    running mean 0, var 1).  Fixed classical kernels are frozen.
+    """
+    rng = np.random.default_rng(seed)
+    params: dict[str, Param] = {}
+    for name, shape, init in param_specs(config):
+        if name in params:
+            raise ContractError(f"duplicate parameter name {name}")
+        if init == "he_normal":
+            # fan_in is every axis but the output one; the 1-D ECA kernel
+            # is its own fan-in.
+            std = math.sqrt(2.0 / math.prod(shape[1:] or shape))
+            arr = rng.normal(0.0, std, size=shape)
+        elif init == "fixed_kernel":
+            arr = _generate_fixed(name)
+        else:
+            arr = np.ones(shape) if init == "ones" else np.zeros(shape)
+        frozen = init == "fixed_kernel"
+        params[name] = Param(name, Tensor(np.asarray(arr, dtype=DEFAULT_DTYPE)), frozen, init)
     return Model(config, params)
 
 
@@ -346,17 +357,17 @@ def param_breakdown(model: Model) -> dict[str, dict[str, int]]:
 
 
 def _peek(x) -> Tensor:
-    # Underlying tensor of either a plain Tensor or a taped Var.
+    # Underlying value of a plain Tensor, a taped Var or a stacked array.
     return x.value if hasattr(x, "value") else x
 
 
 def _norm(x, pview, prefix, cfg, mode):
     if mode.stats == "batch":
-        return ag.batchnorm2d(
+        return pview.ops.batchnorm2d(
             x, pview(prefix + ".scale"), pview(prefix + ".shift"),
             mode="batch", eps=cfg.bn_eps,
         )
-    return ag.batchnorm2d(
+    return pview.ops.batchnorm2d(
         x, pview(prefix + ".scale"), pview(prefix + ".shift"),
         mode="running", mean=pview(prefix + ".mean"), var=pview(prefix + ".var"),
         eps=cfg.bn_eps,
@@ -365,17 +376,17 @@ def _norm(x, pview, prefix, cfg, mode):
 
 def _an(x, pview, prefix, cfg, mode):
     # Norm first, then GELU.
-    return ag.gelu(_norm(x, pview, prefix, cfg, mode))
+    return pview.ops.gelu(_norm(x, pview, prefix, cfg, mode))
 
 
-def _edge_attention(x, sx, sy):
-    gx = ag.depthwise_conv2d(x, sx, padding=ops.REPLICATE)
-    gy = ag.depthwise_conv2d(x, sy, padding=ops.REPLICATE)
-    return ag.sqrt_eps(ag.add(ag.mul(gx, gx), ag.mul(gy, gy)))
+def _edge_attention(F, x, sx, sy):
+    gx = F.depthwise_conv2d(x, sx, padding=ops.REPLICATE)
+    gy = F.depthwise_conv2d(x, sy, padding=ops.REPLICATE)
+    return F.sqrt_eps(F.add(F.mul(gx, gx), F.mul(gy, gy)))
 
 
-def _gaussian_attention(x, g5):
-    return ag.depthwise_conv2d(x, g5, padding=ops.REPLICATE)
+def _gaussian_attention(F, x, g5):
+    return F.depthwise_conv2d(x, g5, padding=ops.REPLICATE)
 
 
 def edge_attention(x) -> Tensor:
@@ -384,7 +395,7 @@ def edge_attention(x) -> Tensor:
         x = Tensor(x)
     dt = _peek(x).dtype
     sx, sy = scharr_kernels()
-    return _edge_attention(x, Tensor(sx.astype(dt)), Tensor(sy.astype(dt)))
+    return _edge_attention(ag, x, Tensor(sx.astype(dt)), Tensor(sy.astype(dt)))
 
 
 def gaussian_attention(x) -> Tensor:
@@ -393,49 +404,48 @@ def gaussian_attention(x) -> Tensor:
         x = Tensor(x)
     dt = _peek(x).dtype
     g5 = gaussian_kernel(5, 1.0).astype(dt)
-    return _gaussian_attention(x, Tensor(g5))
+    return _gaussian_attention(ag, x, Tensor(g5))
 
 
 def drfd_forward(x, pview, prefix, cfg, mode):
     """Two-branch downsampling: stride-2 conv + (maxpool, 1x1 conv), summed."""
-    val = _peek(x)
-    if val.h % 2 or val.w % 2:
-        raise DimensionError(
-            f"DRFD needs even spatial dims, got {val.h}x{val.w}", axis="h"
-        )
-    cpath = ag.conv2d(x, pview(prefix + ".conv3"), stride=2)
+    F = pview.ops
+    h, w = _peek(x).shape[2:4]
+    if h % 2 or w % 2:
+        raise DimensionError(f"DRFD needs even spatial dims, got {h}x{w}", axis="h")
+    cpath = F.conv2d(x, pview(prefix + ".conv3"), stride=2)
     cpath = _norm(cpath, pview, prefix + ".norm_conv.norm", cfg, mode)
-    ppath = ag.conv2d(ag.maxpool2d(x), pview(prefix + ".conv1"))
+    ppath = F.conv2d(F.maxpool2d(x), pview(prefix + ".conv1"))
     ppath = _norm(ppath, pview, prefix + ".norm_pool.norm", cfg, mode)
-    return _an(ag.add(cpath, ppath), pview, prefix + ".an.norm", cfg, mode)
+    return _an(F.add(cpath, ppath), pview, prefix + ".an.norm", cfg, mode)
 
 
 def log_stem_forward(x, pview, cfg, mode):
     """Stem: LoG-enhanced residual, two 3x3 convs to stride 2, Gaussian pair, DRFD."""
-    val = _peek(x)
-    if val.h % 4 or val.w % 4:
-        raise DimensionError(
-            f"stem needs spatial dims divisible by 4, got {val.h}x{val.w}", axis="h"
-        )
-    t = ag.conv2d(x, pview("stem.conv7"))
-    t = ag.depthwise_conv2d(t, pview("fixed.log7"), padding=ops.REPLICATE)
+    F = pview.ops
+    h, w = _peek(x).shape[2:4]
+    if h % 4 or w % 4:
+        raise DimensionError(f"stem needs spatial dims divisible by 4, got {h}x{w}", axis="h")
+    t = F.conv2d(x, pview("stem.conv7"))
+    t = F.depthwise_conv2d(t, pview("fixed.log7"), padding=ops.REPLICATE)
     t = _an(t, pview, "stem.an_log.norm", cfg, mode)
-    f_log = _norm(ag.add(x, t), pview, "stem.res.norm", cfg, mode)
-    t = ag.conv2d(f_log, pview("stem.conv3"))
-    f1 = ag.conv2d(t, pview("stem.convd3"), stride=2)
-    t = ag.depthwise_conv2d(f1, pview("fixed.gauss9_s05"), padding=ops.REPLICATE)
-    t = _norm(ag.add(t, f1), pview, "stem.mid.norm", cfg, mode)
-    t = ag.depthwise_conv2d(t, pview("fixed.gauss5_s05"), padding=ops.REPLICATE)
+    f_log = _norm(F.add(x, t), pview, "stem.res.norm", cfg, mode)
+    t = F.conv2d(f_log, pview("stem.conv3"))
+    f1 = F.conv2d(t, pview("stem.convd3"), stride=2)
+    t = F.depthwise_conv2d(f1, pview("fixed.gauss9_s05"), padding=ops.REPLICATE)
+    t = _norm(F.add(t, f1), pview, "stem.mid.norm", cfg, mode)
+    t = F.depthwise_conv2d(t, pview("fixed.gauss5_s05"), padding=ops.REPLICATE)
     return drfd_forward(t, pview, "stem.drfd", cfg, mode)
 
 
 def conv_block_forward(x, pview, prefix, cfg, mode):
     """1x1 conv, AN, depthwise 3x3, AN, 1x1 conv, norm; width stays fixed."""
-    t = ag.conv2d(x, pview(prefix + ".c1"))
+    F = pview.ops
+    t = F.conv2d(x, pview(prefix + ".c1"))
     t = _an(t, pview, prefix + ".an1.norm", cfg, mode)
-    t = ag.depthwise_conv2d(t, pview(prefix + ".c3"))
+    t = F.depthwise_conv2d(t, pview(prefix + ".c3"))
     t = _an(t, pview, prefix + ".an2.norm", cfg, mode)
-    t = ag.conv2d(t, pview(prefix + ".c2"))
+    t = F.conv2d(t, pview(prefix + ".c2"))
     return _norm(t, pview, prefix + ".out.norm", cfg, mode)
 
 
@@ -443,54 +453,76 @@ def _stage_attention(x, stage, pview, cfg):
     if not 1 <= stage <= 4:
         raise ConfigError(f"stage must be in 1..4, got {stage}")
     if cfg.attention_kinds[stage - 1] == "edge":
-        return _edge_attention(x, pview("fixed.scharr_x"), pview("fixed.scharr_y"))
-    return _gaussian_attention(x, pview("fixed.gauss5_s10"))
+        return _edge_attention(pview.ops, x, pview("fixed.scharr_x"), pview("fixed.scharr_y"))
+    return _gaussian_attention(pview.ops, x, pview("fixed.gauss5_s10"))
 
 
 def ega_forward(x, stage, pview, prefix, cfg, mode, trace=None):
     """Edge/Gaussian attention fused with the input through a conv block."""
+    F = pview.ops
     a = _stage_attention(x, stage, pview, cfg)
     if trace is not None:
         trace[prefix + ".attention"] = _peek(a)
-    fa = conv_block_forward(ag.add(x, a), pview, prefix + ".convblock", cfg, mode)
-    return ag.conv2d(ag.add(ag.mul(x, fa), x), pview(prefix + ".conv3"))
+    fa = conv_block_forward(F.add(x, a), pview, prefix + ".convblock", cfg, mode)
+    return F.conv2d(F.add(F.mul(x, fa), x), pview(prefix + ".conv3"))
 
 
 def leg_module_forward(x, stage, pview, prefix, cfg, mode, trace=None):
     """EGA features gated per channel (ECA) and folded back onto the input."""
+    F = pview.ops
     f_ega = ega_forward(x, stage, pview, prefix + ".ega", cfg, mode, trace)
-    gates = ag.sigmoid(ag.conv1d_channels(ag.global_avg_pool(f_ega), pview(prefix + ".eca.w")))
+    gates = F.sigmoid(F.conv1d_channels(F.global_avg_pool(f_ega), pview(prefix + ".eca.w")))
     return _norm(
-        ag.add(ag.scale_channels(f_ega, gates), x), pview, prefix + ".leg.norm", cfg, mode
+        F.add(F.scale_channels(f_ega, gates), x), pview, prefix + ".leg.norm", cfg, mode
     )
 
 
 def leg_block_forward(x, stage, pview, prefix, cfg, mode, trace=None):
     """Shape-preserving block: LEG module, 1x1 expand/reduce, dropout, residual."""
+    F = pview.ops
     t = leg_module_forward(x, stage, pview, prefix, cfg, mode, trace)
-    t = ag.conv2d(t, pview(prefix + ".expand"))
+    t = F.conv2d(t, pview(prefix + ".expand"))
     t = _an(t, pview, prefix + ".an.norm", cfg, mode)
-    t = ag.conv2d(t, pview(prefix + ".reduce"))
-    t = ag.dropout(
+    t = F.conv2d(t, pview(prefix + ".reduce"))
+    t = F.dropout(
         t,
         cfg.dropout_rate,
         training=mode.training,
         rng=mode.dropout_rng(prefix) if mode.training else None,
     )
     t = _norm(t, pview, prefix + ".out.norm", cfg, mode)
-    return ag.add(x, t)
+    return F.add(x, t)
+
+
+def _segments(cfg, skip_blocks=False):
+    """The network as ``(prefix, stage, tap)`` segments in execution order.
+
+    ``prefix`` names the segment's parameters; ``tap`` marks the last
+    segment of a stage, whose output is that stage's pyramid level.
+    """
+    segs = []
+    for i in range(1, 5):
+        prefixes = ["stem" if i == 1 else f"s{i}.drfd"]
+        if not skip_blocks:
+            prefixes += [f"s{i}.b{j}" for j in range(1, cfg.blocks[i - 1] + 1)]
+        segs += [(p, i, p == prefixes[-1]) for p in prefixes]
+    return segs
+
+
+def _segment_forward(t, prefix, stage, pview, cfg, mode, trace=None):
+    if prefix == "stem":
+        return log_stem_forward(t, pview, cfg, mode)
+    if prefix.endswith(".drfd"):
+        return drfd_forward(t, pview, prefix, cfg, mode)
+    return leg_block_forward(t, stage, pview, prefix, cfg, mode, trace)
 
 
 def _pyramid_forward(x, pview, cfg, mode, trace=None, skip_blocks=False):
-    t = log_stem_forward(x, pview, cfg, mode)
-    levels = []
-    for i in range(1, 5):
-        if i > 1:
-            t = drfd_forward(t, pview, f"s{i}.drfd", cfg, mode)
-        if not skip_blocks:
-            for j in range(1, cfg.blocks[i - 1] + 1):
-                t = leg_block_forward(t, i, pview, f"s{i}.b{j}", cfg, mode, trace)
-        levels.append(t)
+    t, levels = x, []
+    for prefix, stage, tap in _segments(cfg, skip_blocks):
+        t = _segment_forward(t, prefix, stage, pview, cfg, mode, trace)
+        if tap:
+            levels.append(t)
     return FeaturePyramid(tuple(levels))
 
 
@@ -513,7 +545,7 @@ def backbone_forward(x, model: Model, mode: Mode | None = None, trace: dict | No
             axis="h",
         )
     pview = ParamView(model)
-    return _pyramid_forward(x, pview, model.config, mode.fresh(), trace, skip_blocks)
+    return _pyramid_forward(x, pview, model.config, mode, trace, skip_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -541,278 +573,206 @@ def _pyramid_loss(levels) -> object:
     return ag.scale(total, LOSS_SCALE)
 
 
-class _FastPipeline:
-    """Raw-array forward used as the finite-difference loss function.
+class _Probes:
+    """Values of the parameter being probed, drawn once, each before the next."""
 
-    Computes the same math as the taped forward, up to rounding order,
-    but on plain arrays and without validation.  Activations carry a
-    trailing probe axis, ``(n, c, h, w, P)``: each slice along it is one
-    independent forward of the whole ``n``-image batch, so batch
-    statistics are taken per (channel, probe) over ``n, h, w`` and stay
-    exact for any ``n``.
+    def __init__(self, shape, values):
+        self.shape = shape
+        self.values = values
 
-    A perturbed parameter only influences the network from the op that
-    consumes it onward.  The baseline run caches every segment input and
-    the level sums accumulated before it, so a probe re-runs only a
-    suffix.  :meth:`losses` evaluates many values of one parameter
-    together: the ops before its consumer run once, the consumer runs
-    once per value, and its outputs are stacked on the probe axis so
-    everything after it runs once per chunk of probes, which spreads
-    numpy's per-call overhead across them.
+
+def _each(param, op):
+    # op(param); for probed values, op once per value (on the same,
+    # probe-independent operands), stacked on the probe axis.
+    if isinstance(param, _Probes):
+        return np.concatenate([op(np.asarray(v)) for v in param.values], axis=-1)
+    return op(param)
+
+
+def _live(size, k, stride):
+    # Output size and the range of kernel offsets that read at least one
+    # real pixel along an axis of ``size`` under zero padding.
+    p = (k - 1) // 2
+    out = (size + 2 * p - k) // stride + 1
+    return out, max(0, p - (out - 1) * stride), min(k, p + size)
+
+
+class _StackedOps:
+    """The block functions' ops on probe-stacked ``(n, c, h, w, P)`` arrays.
+
+    Each slice along the trailing probe axis is one independent forward of
+    the whole ``n``-image batch, so batch statistics are taken per
+    (channel, probe) over ``n, h, w`` and stay exact for any ``n``.  With
+    the probe axis innermost, slice copies and elementwise passes run over
+    long contiguous rows however small the feature map is.  Batch
+    statistics only; no validation and no tape.
+    """
+
+    # Largest (hw, hw) operator of a fixed depthwise kernel, in entries
+    # (2 MB); on larger maps the kernel sums shifted copies instead.
+    MAX_OPERATOR = 1 << 18
+
+    add = staticmethod(np.add)
+    mul = staticmethod(np.multiply)
+    gelu = staticmethod(ops._gelu_raw)
+    sigmoid = staticmethod(ops._sigmoid_raw)
+    maxpool2d = staticmethod(ops._maxpool_raw)
+    global_avg_pool = staticmethod(ops._gap_raw)
+
+    def __init__(self):
+        self._operators = {}  # (kernel bytes, padding, h, w) -> (hw, hw) operator
+
+    @staticmethod
+    def sqrt_eps(x):
+        return np.sqrt(x + ops.SQRT_EPS)
+
+    @staticmethod
+    def scale_channels(x, gates):
+        return x * gates[:, :, None, None]
+
+    @staticmethod
+    def conv1d_channels(v, weight):
+        return _each(weight, lambda w: ops._conv1d_raw(v, w))
+
+    @staticmethod
+    def dropout(x, rate, *, training, rng=None):
+        if not training or rate == 0.0:
+            return x
+        return x * ops._dropout_mask(x.shape[:4], rate, rng, x.dtype)[..., None]
+
+    @staticmethod
+    def batchnorm2d(x, scale, shift, *, mode, eps):
+        m = x.shape[0] * x.shape[2] * x.shape[3]
+        d = x - x.sum(axis=(0, 2, 3), keepdims=True) / m
+        inv = 1.0 / np.sqrt(np.square(d).sum(axis=(0, 2, 3), keepdims=True) / m + eps)
+        y = _each(scale, lambda s: d * (inv * s[:, None, None, None]))
+        return _each(shift, lambda b: y + b[:, None, None, None])
+
+    @staticmethod
+    def conv2d(x, weight, *, stride=1):
+        # Zero padding; im2col over the kernel taps that read real pixels,
+        # then a matmul.
+        cout, cin, k, _ = weight.shape
+        n, _, h, w, P = x.shape
+        oh, r0, r1 = _live(h, k, stride)
+        ow, c0, c1 = _live(w, k, stride)
+        if (r0, r1, c0, c1) == (0, 1, 0, 1) and stride == 1:
+            cols = x.reshape(n, cin, -1)
+        else:
+            xp = ops._pad2d(x, (k - 1) // 2, ops.ZERO)
+            cols = np.empty((n, cin, r1 - r0, c1 - c0, oh, ow, P), dtype=x.dtype)
+            for ki in range(r0, r1):
+                for kj in range(c0, c1):
+                    cols[:, :, ki - r0, kj - c0] = xp[:, :, ki : ki + stride * oh : stride,
+                                                      kj : kj + stride * ow : stride]
+            cols = cols.reshape(n, -1, oh * ow * P)
+        return _each(
+            weight,
+            lambda wt: np.matmul(wt[:, :, r0:r1, c0:c1].reshape(cout, -1), cols).reshape(
+                n, cout, oh, ow, P
+            ),
+        )
+
+    def depthwise_conv2d(self, x, kernel, *, padding=ops.ZERO):
+        if len(kernel.shape) == 4:
+            return _each(kernel, lambda kern: self._shifted_sum(x, kern[:, 0], padding))
+        # One fixed (k, k) kernel for every channel.  On small maps: one
+        # matmul with the (hw, hw) operator it induces, built once per map
+        # size by filtering the identity basis.
+        n, c, h, w, P = x.shape
+        if (h * w) ** 2 > self.MAX_OPERATOR:
+            return self._shifted_sum(x, kernel[None], padding)
+        key = (kernel.tobytes(), padding, h, w)
+        op = self._operators.get(key)
+        if op is None:
+            basis = np.eye(h * w, dtype=x.dtype).reshape(1, 1, h, w, h * w)
+            op = self._shifted_sum(basis, kernel[None], padding).reshape(h * w, h * w)
+            self._operators[key] = op
+        return np.matmul(op, x.reshape(n, c, h * w, P)).reshape(x.shape)
+
+    @staticmethod
+    def _shifted_sum(x, kern, padding):
+        # Depthwise conv with (1 or c, k, k) kernels as a sum of shifted,
+        # scaled copies of the map; under zero padding, taps that read only
+        # padding are skipped.
+        k = kern.shape[-1]
+        h, w = x.shape[2:4]
+        rows = cols = range(k)
+        if padding == ops.ZERO:
+            rows, cols = range(*_live(h, k, 1)[1:]), range(*_live(w, k, 1)[1:])
+        xp = ops._pad2d(x, (k - 1) // 2, padding)
+        y = np.zeros_like(x)
+        for ki in rows:
+            for kj in cols:
+                y += xp[:, :, ki : ki + h, kj : kj + w] * kern[:, ki, kj][:, None, None, None]
+        return y
+
+
+class _ProbeView:
+    """The FD loss's parameter view: plain arrays, and the probed values.
+
+    Stands in for :class:`ParamView`: the block functions read parameters
+    through it and take their ops from its ``ops``.
+    """
+
+    def __init__(self, model: Model):
+        self.ops = _StackedOps()
+        self.arrays = {n: p.value.data for n, p in model.params.items()}
+        self.probe = None  # (name, values) while values of name are evaluated
+
+    def __call__(self, name: str):
+        if self.probe is not None and self.probe[0] == name:
+            return _Probes(self.arrays[name].shape, self.probe[1])
+        return self.arrays[name]
+
+
+class _FDLoss:
+    """Finite-difference loss: the block functions on probe-stacked arrays.
+
+    Runs the network's own segment functions through :class:`_ProbeView`,
+    so it computes the same math as the taped forward, up to rounding
+    order, without touching the tape.  A perturbed parameter only
+    influences the network from the op that consumes it onward.  The
+    baseline run caches every segment input and the level sums accumulated
+    before it, so a probe re-runs only a suffix.  :meth:`losses` evaluates
+    many values of one parameter together: the ops before its consumer
+    run once, the consumer runs once per value, and its outputs are
+    stacked on the probe axis so everything after it runs once per chunk
+    of probes, which spreads numpy's per-call overhead across them.
     """
 
     # Elements of stacked segment input per run: enough probes to amortize
     # numpy's per-call overhead, few enough to keep activations in cache
     # (21 probes of the stem, 256 of a stage-4 block at 32x32 input).
     CHUNK_ELEMENTS = 1 << 16
-    # Largest (hw, hw) operator of a fixed depthwise kernel, in entries
-    # (2 MB); on larger maps the kernel sums shifted copies instead.
-    MAX_OPERATOR = 1 << 18
 
     def __init__(self, model: Model, x: Tensor, mode: Mode):
         if mode.stats != "batch":
-            raise ContractError("fast pipeline supports batch-statistics mode only")
-        self.A = {n: p.value.data for n, p in model.params.items()}
+            raise ContractError("the FD loss supports batch-statistics mode only")
         self.cfg = model.config
-        self._jit = _fast.HAVE_NUMBA and x.shape[0] == 1 and x.dtype == np.float64
-        if self._jit:
-            _fast.warmup(np.float64)
-        self._masks = {}
-        if mode.training:
-            widths = self.cfg.stage_widths
-            n, _, h, w = x.shape
-            sizes = {1: (h // 4, w // 4), 2: (h // 8, w // 8), 3: (h // 16, w // 16),
-                     4: (h // 32, w // 32)}
-            for i in range(1, 5):
-                for j in range(1, self.cfg.blocks[i - 1] + 1):
-                    tag = f"s{i}.b{j}"
-                    shape = (n, widths[i - 1], *sizes[i])
-                    mask = ops._dropout_mask(
-                        shape, self.cfg.dropout_rate, mode.dropout_rng(tag), x.dtype
-                    )
-                    self._masks[tag] = mask[..., None]  # broadcast over probes
-        self._steps = []           # (fn, tap) in execution order
-        self._seg_of = {}          # learnable parameter name -> step index
-        self._build_steps({name for name, _ in model.learnable_items()})
-        self._probe = None         # (name, values) while values of name are evaluated
-        self._operators = {}       # (fixed kernel name, h, w) -> (hw, hw) operator
+        self.mode = mode
+        self._view = _ProbeView(model)
+        self._segments = _segments(self.cfg)
+        self._seg_of = {}  # learnable parameter name -> segment index
+        for name, _ in model.learnable_items():
+            for index, (prefix, _, _) in enumerate(self._segments):
+                if name.startswith(prefix + "."):
+                    self._seg_of[name] = index
         self._inputs = []
         self._prefix_sums = []
         t = x.data[..., None]
         acc = 0.0
-        for fn, tap in self._steps:
+        for index, (_, _, tap) in enumerate(self._segments):
             self._inputs.append(t)
             self._prefix_sums.append(acc)
-            t = fn(t)
+            t = self._run(index, t)
             if tap:
                 acc += float(t.sum())
         self.baseline = acc * LOSS_SCALE
 
-    # -- kernels on (n, c, h, w, P) ------------------------------------------
-    #
-    # Every read of a learnable parameter goes through _per_probe.  With a
-    # single probe of a single image the optional JIT kernels take the
-    # (c, h, w) slice; everything else is numpy with the probe axis
-    # innermost, so slice copies and elementwise passes run over long
-    # contiguous rows however small the feature map is.
-
-    def _per_probe(self, name, op):
-        # op(value of ``name``); while ``name`` is probed, once per probe
-        # value (on the same, probe-independent input), stacked.
-        if self._probe is None or self._probe[0] != name:
-            return op(self.A[name])
-        return np.concatenate([op(np.asarray(v)) for v in self._probe[1]], axis=-1)
-
-    def _single(self, t) -> bool:
-        return self._jit and t.shape[-1] == 1
-
-    @staticmethod
-    def _live(size, k, stride):
-        # Output size and the range of kernel offsets that read at least
-        # one real pixel along an axis of ``size`` under zero padding.
-        p = (k - 1) // 2
-        out = (size + 2 * p - k) // stride + 1
-        return out, max(0, p - (out - 1) * stride), min(k, p + size)
-
-    def _bn(self, t, prefix, fuse_gelu=False):
-        scale, shift = prefix + ".scale", prefix + ".shift"
-        eps = self.cfg.bn_eps
-        if self._single(t):
-            def jit(s, b):
-                y = _fast.bn_batch(t.reshape(t.shape[1], -1), s, b, eps, fuse_gelu)
-                return y.reshape(t.shape)
-
-            return self._per_probe(scale, lambda s: self._per_probe(shift, lambda b: jit(s, b)))
-        m = t.shape[0] * t.shape[2] * t.shape[3]
-        d = t - t.sum(axis=(0, 2, 3), keepdims=True) / m
-        inv = 1.0 / np.sqrt(np.square(d).sum(axis=(0, 2, 3), keepdims=True) / m + eps)
-        y = self._per_probe(scale, lambda s: d * (inv * s[:, None, None, None]))
-        y = self._per_probe(shift, lambda b: y + b[:, None, None, None])
-        return ops._gelu_raw(y) if fuse_gelu else y
-
-    def _an(self, t, prefix):
-        return self._bn(t, prefix, fuse_gelu=True)
-
-    def _conv(self, t, name, stride=1):
-        # im2col over the kernel taps that read real pixels, then a matmul.
-        cout, cin, k, _ = self.A[name].shape
-        if self._single(t):
-            return self._per_probe(
-                name, lambda wt: _fast.conv2d_n1(t[..., 0], wt, stride)[..., None]
-            )
-        n, _, h, w, P = t.shape
-        oh, r0, r1 = self._live(h, k, stride)
-        ow, c0, c1 = self._live(w, k, stride)
-        if (r0, r1, c0, c1) == (0, 1, 0, 1) and stride == 1:
-            cols = t.reshape(n, cin, -1)
-        else:
-            tp = self._pad(t, (k - 1) // 2, replicate=False)
-            cols = np.empty((n, cin, r1 - r0, c1 - c0, oh, ow, P), dtype=t.dtype)
-            for ki in range(r0, r1):
-                for kj in range(c0, c1):
-                    cols[:, :, ki - r0, kj - c0] = tp[:, :, ki : ki + stride * oh : stride,
-                                                      kj : kj + stride * ow : stride]
-            cols = cols.reshape(n, -1, oh * ow * P)
-        return self._per_probe(
-            name,
-            lambda wt: np.matmul(wt[:, :, r0:r1, c0:c1].reshape(cout, -1), cols).reshape(
-                n, cout, oh, ow, P
-            ),
-        )
-
-    def _shifted_sum(self, t, kern, replicate):
-        # Depthwise conv with (1 or c, k, k) kernels as a sum of shifted,
-        # scaled copies of the map; taps that read only zero padding are
-        # skipped.
-        k = kern.shape[-1]
-        h, w = t.shape[2], t.shape[3]
-        rows = range(k) if replicate else range(*self._live(h, k, 1)[1:])
-        cols = range(k) if replicate else range(*self._live(w, k, 1)[1:])
-        tp = self._pad(t, (k - 1) // 2, replicate)
-        y = np.zeros_like(t)
-        for ki in rows:
-            for kj in cols:
-                y += tp[:, :, ki : ki + h, kj : kj + w] * kern[:, ki, kj][:, None, None, None]
-        return y
-
-    def _dw_shared(self, t, name):
-        # One fixed (k, k) kernel for every channel, replicate padding.  On
-        # small maps: one matmul with the (hw, hw) operator it induces,
-        # built once per map size by convolving the identity basis.
-        kern = self.A[name]
-        if self._single(t):
-            return _fast.dw_shared(t[0, ..., 0], kern, True)[None, ..., None]
-        n, c, h, w, P = t.shape
-        if (h * w) ** 2 > self.MAX_OPERATOR:
-            return self._shifted_sum(t, kern[None], replicate=True)
-        op = self._operators.get((name, h, w))
-        if op is None:
-            basis = np.eye(h * w, dtype=t.dtype).reshape(1, 1, h, w, h * w)
-            op = self._shifted_sum(basis, kern[None], replicate=True).reshape(h * w, h * w)
-            self._operators[(name, h, w)] = op
-        return np.matmul(op, t.reshape(n, c, h * w, P)).reshape(t.shape)
-
-    def _dw_perchannel(self, t, name):
-        # One (3, 3) kernel per channel, zero padding.
-        if self._single(t):
-            return self._per_probe(
-                name, lambda kern: _fast.dw_perchannel3(t[0, ..., 0], kern)[None, ..., None]
-            )
-        return self._per_probe(name, lambda kern: self._shifted_sum(t, kern[:, 0], replicate=False))
-
-    @staticmethod
-    def _pad(t, p, replicate):
-        n, c, h, w, P = t.shape
-        out = np.zeros((n, c, h + 2 * p, w + 2 * p, P), dtype=t.dtype)
-        out[:, :, p : p + h, p : p + w] = t
-        if replicate:
-            out[:, :, :p, p : p + w] = t[:, :, :1]
-            out[:, :, p + h :, p : p + w] = t[:, :, -1:]
-            out[:, :, :, :p] = out[:, :, :, p : p + 1]
-            out[:, :, :, p + w :] = out[:, :, :, p + w - 1 : p + w]
-        return out
-
-    @staticmethod
-    def _maxpool(t):
-        top = np.maximum(t[:, :, 0::2, 0::2], t[:, :, 0::2, 1::2])
-        return np.maximum(top, np.maximum(t[:, :, 1::2, 0::2], t[:, :, 1::2, 1::2]))
-
-    # -- step construction ---------------------------------------------------
-
-    def _stem_fn(self, t):
-        z = self._conv(t, "stem.conv7")
-        z = self._dw_shared(z, "fixed.log7")
-        z = self._an(z, "stem.an_log.norm")
-        f_log = self._bn(t + z, "stem.res.norm")
-        z = self._conv(f_log, "stem.conv3")
-        f1 = self._conv(z, "stem.convd3", stride=2)
-        z = self._dw_shared(f1, "fixed.gauss9_s05")
-        z = self._bn(z + f1, "stem.mid.norm")
-        z = self._dw_shared(z, "fixed.gauss5_s05")
-        return self._drfd(z, "stem.drfd")
-
-    def _drfd(self, t, prefix):
-        cpath = self._bn(self._conv(t, prefix + ".conv3", stride=2), prefix + ".norm_conv.norm")
-        ppath = self._bn(
-            self._conv(self._maxpool(t), prefix + ".conv1"), prefix + ".norm_pool.norm"
-        )
-        return self._bn(cpath + ppath, prefix + ".an.norm", fuse_gelu=True)
-
-    def _block_fn(self, prefix, stage):
-        edge = self.cfg.attention_kinds[stage - 1] == "edge"
-        mask = self._masks.get(prefix)
-
-        def fn(t):
-            if edge:
-                gx = self._dw_shared(t, "fixed.scharr_x")
-                gy = self._dw_shared(t, "fixed.scharr_y")
-                a = np.sqrt((gx * gx + gy * gy) + ops.SQRT_EPS)
-            else:
-                a = self._dw_shared(t, "fixed.gauss5_s10")
-            z = self._conv(t + a, prefix + ".ega.convblock.c1")
-            z = self._an(z, prefix + ".ega.convblock.an1.norm")
-            z = self._dw_perchannel(z, prefix + ".ega.convblock.c3")
-            z = self._an(z, prefix + ".ega.convblock.an2.norm")
-            z = self._conv(z, prefix + ".ega.convblock.c2")
-            fa = self._bn(z, prefix + ".ega.convblock.out.norm")
-            f_ega = self._conv(t * fa + t, prefix + ".ega.conv3")
-            pooled = f_ega.mean(axis=(2, 3))  # (n, c, P)
-            gates = ops._sigmoid_raw(
-                self._per_probe(prefix + ".eca.w", lambda w: ops._conv1d_raw(pooled, w))
-            )
-            z = self._bn(f_ega * gates[:, :, None, None] + t, prefix + ".leg.norm")
-            z = self._conv(z, prefix + ".expand")
-            z = self._an(z, prefix + ".an.norm")
-            z = self._conv(z, prefix + ".reduce")
-            if mask is not None:
-                z = z * mask
-            z = self._bn(z, prefix + ".out.norm")
-            return t + z
-
-        return fn
-
-    def _build_steps(self, learnable):
-        def claim(prefix, index):
-            for name in learnable:
-                if name.startswith(prefix + "."):
-                    self._seg_of[name] = index
-
-        self._steps.append((self._stem_fn, False))
-        claim("stem", 0)
-        for i in range(1, 5):
-            if i > 1:
-                idx = len(self._steps)
-                pre = f"s{i}.drfd"
-                self._steps.append((lambda t, p=pre: self._drfd(t, p), False))
-                claim(pre, idx)
-            for j in range(1, self.cfg.blocks[i - 1] + 1):
-                idx = len(self._steps)
-                pre = f"s{i}.b{j}"
-                tap = j == self.cfg.blocks[i - 1]
-                self._steps.append((self._block_fn(pre, i), tap))
-                claim(pre, idx)
-
-    # -- evaluation ------------------------------------------------------------
+    def _run(self, index, t):
+        prefix, stage, _ = self._segments[index]
+        return _segment_forward(t, prefix, stage, self._view, self.cfg, self.mode)
 
     def losses(self, name: str, probes) -> np.ndarray:
         """Loss for each value of learnable parameter ``name`` drawn from ``probes``.
@@ -829,16 +789,16 @@ class _FastPipeline:
         try:
             for head in probes:
                 chunk = itertools.chain([head], itertools.islice(probes, size - 1))
-                self._probe = (name, chunk)
+                self._view.probe = (name, chunk)
                 t = self._inputs[start]
                 acc = self._prefix_sums[start]
-                for fn, tap in self._steps[start:]:
-                    t = fn(t)
-                    if tap:
+                for index in range(start, len(self._segments)):
+                    t = self._run(index, t)
+                    if self._segments[index][2]:
                         acc = acc + t.sum(axis=(0, 1, 2, 3))
                 out.append(acc)
         finally:
-            self._probe = None
+            self._view.probe = None
         return np.concatenate(out) * LOSS_SCALE if out else np.zeros(0)
 
     def loss(self, overrides: dict) -> float:
@@ -871,18 +831,18 @@ def backbone_gradcheck(
     tape = Tape()
     pview = ParamView(m64, tape=tape)
     xv = tape.leaf(x64, name="input")
-    pyramid = _pyramid_forward(xv, pview, cfg, mode.fresh())
+    pyramid = _pyramid_forward(xv, pview, cfg, mode)
     loss = _pyramid_loss(pyramid.levels)
     analytic = ag.backward(loss)
 
-    fast = _FastPipeline(m64, x64, mode.fresh())
+    fd = _FDLoss(m64, x64, mode)
     taped_loss = float(loss.value.data)
-    if not math.isclose(fast.baseline, taped_loss, rel_tol=1e-9, abs_tol=1e-9):
+    if not math.isclose(fd.baseline, taped_loss, rel_tol=1e-9, abs_tol=1e-9):
         raise ContractError(
-            f"fast pipeline loss {fast.baseline!r} diverges from taped loss {taped_loss!r}"
+            f"FD loss {fd.baseline!r} diverges from taped loss {taped_loss!r}"
         )
 
     params = {name: p.value.data for name, p in m64.learnable_items()}
     return finite_diff_check(
-        fast, params, analytic, eps=eps, seed=seed, coords_per_tensor=coords_per_tensor
+        fd, params, analytic, eps=eps, seed=seed, coords_per_tensor=coords_per_tensor
     )

@@ -52,10 +52,12 @@ def _check_padding(padding: str) -> None:
 
 
 def _pad2d(a: np.ndarray, p: int, padding: str) -> np.ndarray:
+    # Pads axes 2 and 3; trailing axes (the probe axis of gradcheck's
+    # stacked arrays) ride along.
     if p == 0:
         return a
-    n, c, h, w = a.shape
-    out = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=a.dtype)
+    h, w = a.shape[2:4]
+    out = np.zeros((*a.shape[:2], h + 2 * p, w + 2 * p, *a.shape[4:]), dtype=a.dtype)
     out[:, :, p : p + h, p : p + w] = a
     if padding == REPLICATE:
         out[:, :, :p, p : p + w] = a[:, :, :1, :]
@@ -301,7 +303,7 @@ def _pool_slices(h, w):
 
 
 def _maxpool_raw(xa) -> np.ndarray:
-    a, b, c, d = (xa[:, :, i, j] for i, j in _pool_slices(*xa.shape[2:]))
+    a, b, c, d = (xa[:, :, i, j] for i, j in _pool_slices(*xa.shape[2:4]))
     y = np.maximum(a, b)
     np.maximum(y, c, out=y)
     np.maximum(y, d, out=y)

@@ -25,7 +25,7 @@ import zlib
 
 import numpy as np
 
-from .backbone import BackboneConfig, Model, Param
+from .backbone import BackboneConfig, Model, Param, param_specs
 from .errors import WeightFormatError
 from .tensor import Tensor, _atomic_write
 
@@ -99,7 +99,9 @@ def load_weights(path: str, *, on_checksum: str = "warn") -> Model:
 
     ``on_checksum`` is one of ``warn`` (default), ``raise``, ``ignore``.
     Structural damage (bad magic, truncation, malformed table) always
-    raises :class:`WeightFormatError` with the byte offset.
+    raises :class:`WeightFormatError` with the byte offset, and so does an
+    entry table that is not the one the config implies (a missing or
+    unknown name, or a wrong shape, init or frozen flag).
     """
     if on_checksum not in ("warn", "raise", "ignore"):
         raise ValueError(f"on_checksum must be warn/raise/ignore, got {on_checksum!r}")
@@ -124,6 +126,7 @@ def load_weights(path: str, *, on_checksum: str = "warn") -> Model:
         raise WeightFormatError("header must contain config and entries", offset=header_start)
 
     cfg = _config_from_record(header["config"])
+    expected = {name: (shape, init) for name, shape, init in param_specs(cfg)}
     payload = blob[payload_start : len(blob) - 4]
     params: dict[str, Param] = {}
     cursor = 0
@@ -139,6 +142,21 @@ def load_weights(path: str, *, on_checksum: str = "warn") -> Model:
             raise WeightFormatError(f"malformed entry {ent!r}", offset=header_start) from exc
         if name in params:
             raise WeightFormatError(f"duplicate entry name {name!r}", offset=header_start)
+        if name not in expected:
+            raise WeightFormatError(
+                f"entry {name!r} is not a parameter of this config", offset=header_start
+            )
+        want_shape, want_init = expected[name]
+        if shape != want_shape:
+            raise WeightFormatError(
+                f"entry {name}: shape {shape}, expected {want_shape}", offset=header_start
+            )
+        if init != want_init or frozen != (want_init == "fixed_kernel"):
+            raise WeightFormatError(
+                f"entry {name}: init {init!r} frozen={frozen}, expected init {want_init!r} "
+                f"frozen={want_init == 'fixed_kernel'}",
+                offset=header_start,
+            )
         if int(np.prod(shape, dtype=np.int64)) != size:
             raise WeightFormatError(f"entry {name}: shape {shape} does not match size {size}")
         if offset != cursor:
@@ -153,6 +171,11 @@ def load_weights(path: str, *, on_checksum: str = "warn") -> Model:
         arr = np.frombuffer(payload, dtype=_F32, count=size, offset=offset).reshape(shape)
         params[name] = Param(name, Tensor(arr.astype(np.float32)), frozen, init)
         cursor = end
+    missing = [name for name in expected if name not in params]
+    if missing:
+        raise WeightFormatError(
+            f"{len(missing)} parameter entries missing, first {missing[0]!r}", offset=header_start
+        )
     if cursor != len(payload):
         raise WeightFormatError(
             f"{len(payload) - cursor} trailing payload bytes not covered by the entry table",

@@ -277,7 +277,7 @@ class TestLegBlockGradient:
         tape = Tape()
         pview = ParamView(m64, tape=tape)
         xv = tape.leaf(Tensor(x), name="input")
-        out = leg_block_forward(xv, 1, pview, "s1.b1", m64.config, mode.fresh())
+        out = leg_block_forward(xv, 1, pview, "s1.b1", m64.config, mode)
         analytic = ag.backward(ag.scale(ag.sum_all(out), 1e-6))
 
         block_params = {
@@ -290,7 +290,7 @@ class TestLegBlockGradient:
             merged.update(overrides)
             pv = ParamView(m64, overrides=merged)
             xin = Tensor(merged["input"])
-            out = leg_block_forward(xin, 1, pv, "s1.b1", m64.config, mode.fresh())
+            out = leg_block_forward(xin, 1, pv, "s1.b1", m64.config, mode)
             return 1e-6 * float(out.data.sum())
 
         report = finite_diff_check(

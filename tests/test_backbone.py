@@ -468,28 +468,6 @@ class TestBuildModel:
         assert total == m.learnable_count()
 
 
-class TestFastPipelineFallback:
-    def test_numpy_fallback_matches_jit_baseline(self, rng, monkeypatch):
-        pytest.importorskip("numba")
-        from egnet import _fast
-        from egnet.backbone import _FastPipeline
-
-        m64 = tiny(seed=6).astype(np.float64)
-        x = Tensor(rng.normal(size=(1, 3, 32, 32)))
-        mode = Mode(stats="batch", dropout_seed=5)
-        fast = _FastPipeline(m64, x, mode.fresh())
-        monkeypatch.setattr(_fast, "HAVE_NUMBA", False)
-        slow = _FastPipeline(m64, x, mode.fresh())
-        assert fast._jit and not slow._jit
-        assert np.isclose(fast.baseline, slow.baseline, rtol=1e-9)
-        name = "s2.b1.expand"
-        arr = m64.params[name].value.data.copy()
-        arr.flat[0] += 1e-3
-        assert np.isclose(
-            fast.loss({name: arr}), slow.loss({name: arr}), rtol=1e-9
-        )
-
-
 class TestBatchedProbes:
     """Stacked-probe losses agree with one-probe-at-a-time evaluation."""
 
@@ -522,29 +500,29 @@ class TestBatchedProbes:
     # 64x64 input runs the fixed kernels of the stem as shifted copies
     @pytest.mark.parametrize("n, size", [(1, 32), (2, 32), (1, 64)])
     def test_batched_losses_match_single_probe(self, rng, n, size):
-        from egnet.backbone import _FastPipeline
+        from egnet.backbone import _FDLoss
 
         m64 = tiny(seed=3).astype(np.float64)
         x = Tensor(rng.normal(size=(n, 3, size, size)))
         mode = Mode(stats="batch", dropout_seed=4)
-        fast = _FastPipeline(m64, x, mode)
+        fd = _FDLoss(m64, x, mode)
         for name in self.NAMES:
             # five probes per stacked run: two full chunks and a remainder
-            fast.CHUNK_ELEMENTS = 5 * fast._inputs[fast._seg_of[name]].size
+            fd.CHUNK_ELEMENTS = 5 * fd._inputs[fd._seg_of[name]].size
             values = self.probe_values(m64.params[name].value.data, rng, 12)
-            batched = fast.losses(name, iter(values))
-            single = np.array([fast.loss({name: v}) for v in values])
+            batched = fd.losses(name, iter(values))
+            single = np.array([fd.loss({name: v}) for v in values])
             np.testing.assert_allclose(batched, single, rtol=1e-9, err_msg=name)
             plain = self.plain_loss(m64, x, mode, name, values[0])
             assert np.isclose(single[0], plain, rtol=1e-9), name
 
     def test_reused_buffer_probes(self, rng):
         # finite_diff_check hands over one buffer, mutated between draws
-        from egnet.backbone import _FastPipeline
+        from egnet.backbone import _FDLoss
 
         m64 = tiny(seed=3).astype(np.float64)
         x = Tensor(rng.normal(size=(1, 3, 32, 32)))
-        fast = _FastPipeline(m64, x, Mode(stats="batch", dropout_seed=4))
+        fd = _FDLoss(m64, x, Mode(stats="batch", dropout_seed=4))
         name = "s1.b1.ega.conv3"
         values = self.probe_values(m64.params[name].value.data, rng, 70)
         buf = np.empty_like(values[0])
@@ -555,24 +533,34 @@ class TestBatchedProbes:
                 yield buf
 
         np.testing.assert_allclose(
-            fast.losses(name, draws()), fast.losses(name, values), rtol=1e-9
+            fd.losses(name, draws()), fd.losses(name, values), rtol=1e-9
         )
+
+    @pytest.mark.parametrize("name", ["fixed.log7", "s1.b1.leg.norm.mean", "input"])
+    def test_rejects_names_that_are_not_learnable(self, rng, name):
+        from egnet.backbone import _FDLoss
+        from egnet.errors import ContractError
+
+        m64 = tiny(seed=3).astype(np.float64)
+        fd = _FDLoss(m64, Tensor(rng.normal(size=(1, 3, 32, 32))), Mode(stats="batch"))
+        with pytest.raises(ContractError):
+            fd.losses(name, [np.zeros(1)])
 
     def test_non_finite_probe_names_parameter_and_first_coordinate(self, rng):
         from egnet.autograd import finite_diff_check
-        from egnet.backbone import _FastPipeline
+        from egnet.backbone import _FDLoss
         from egnet.errors import VerificationError
 
         m64 = tiny(seed=3).astype(np.float64)
         x = Tensor(rng.normal(size=(1, 3, 32, 32)))
-        fast = _FastPipeline(m64, x, Mode(stats="batch", dropout_seed=4))
+        fd = _FDLoss(m64, x, Mode(stats="batch", dropout_seed=4))
         name = "s4.b2.out.norm.shift"
         base = m64.params[name].value.data.copy()
         base[7] = np.inf
         coords = np.random.default_rng(0).choice(base.size, size=20, replace=False)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(VerificationError) as err:
-                finite_diff_check(fast, {name: base}, {name: np.zeros_like(base)},
+                finite_diff_check(fd, {name: base}, {name: np.zeros_like(base)},
                                   seed=0, coords_per_tensor=20)
         assert err.value.param == name
         assert err.value.coord == coords[0]

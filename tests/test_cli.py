@@ -1,15 +1,20 @@
 """Command-line surface: exit codes, outputs, determinism, error lines."""
 
+import json
 import os
+import re
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
 
-from egnet.backbone import BackboneConfig, build_model
+from egnet.backbone import BackboneConfig, Model, Param, build_model
 from egnet.cli import main
-from egnet.tensor import load_raw_tensor
+from egnet.tensor import Tensor, load_raw_tensor
+from egnet.weights import save_weights
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +182,48 @@ class TestErrorSurface:
         rc = main(["kernels", "--type", "gaussian", "--size", "4", "--sigma", "1.0"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error category=config ")
+
+    @staticmethod
+    def edit_entry(path, entry, **fields):
+        # Rewrites one entry of the table, keeping the container valid
+        # (header length, checksum).
+        blob = open(path, "rb").read()
+        header_len = struct.unpack_from("<I", blob, 6)[0]
+        header = json.loads(blob[10 : 10 + header_len])
+        for ent in header["entries"]:
+            if ent["name"] == entry:
+                ent.update(fields)
+        table = json.dumps(header, separators=(",", ":")).encode()
+        body = blob[:6] + struct.pack("<I", len(table)) + table + blob[10 + header_len : -4]
+        with open(path, "wb") as fh:
+            fh.write(body + struct.pack("<I", zlib.crc32(body)))
+
+    @pytest.mark.parametrize("defect", ["missing", "shape", "frozen", "unknown"])
+    def test_weight_table_mismatch_is_one_error_line(self, defect, tmp_path, capsys):
+        model = build_model(BackboneConfig.for_variant("tiny"), seed=0)
+        params = dict(model.params)
+        if defect == "missing":
+            del params["s2.b1.expand"]
+        elif defect == "shape":
+            params["s1.b1.eca.w"] = Param(
+                "s1.b1.eca.w", Tensor(np.full(5, 0.1, dtype=np.float32)), False, "he_normal"
+            )
+        path = str(tmp_path / "bad.legw")
+        save_weights(Model(model.config, params), path)
+        if defect == "frozen":
+            self.edit_entry(path, "s1.b1.expand", frozen=True)
+        elif defect == "unknown":
+            self.edit_entry(path, "s1.b1.expand", name="s1.b1.widen")
+        ppm = str(tmp_path / "img.ppm")
+        write_step_ppm(ppm, 32)
+        rc = main(["features", "--weights", path, "--image", ppm,
+                   "--out-dir", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert re.fullmatch(r'error category=weights message="[^"\n]*"\n', captured.err)
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not os.path.exists(tmp_path / "o")
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
