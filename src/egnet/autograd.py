@@ -16,6 +16,7 @@ but gradients still propagate *through* the ops that consume them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,34 +150,18 @@ def backward(loss: Var) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _scatter_windows(gwin, xshape, k, stride, p, padding):
-    # Adjoint of the padded sliding-window extraction.
+def _scatter_taps(g, kern, xshape, stride, padding):
+    # Adjoint of ``ops._shifted_sum`` with the (m, k, k) kernels ``kern``:
+    # each tap adds its scaled copy of g into the padded gradient.
     n, c, h, w = xshape
-    oh, ow = gwin.shape[2], gwin.shape[3]
-    gxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=gwin.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            gxp[:, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride] += gwin[
-                :, :, :, :, ki, kj
-            ]
-    return _unpad_grad(gxp, p, padding, h, w)
-
-
-def _scatter_taps(g, kk, xshape, stride, p):
-    # Adjoint of a depthwise correlation with the shared (k, k) or
-    # per-channel (c, k, k) kernel ``kk``: each tap adds its scaled copy of
-    # g into the padded gradient.
-    n, c, h, w = xshape
-    oh, ow = g.shape[2], g.shape[3]
-    k = kk.shape[-1]
+    k = kern.shape[-1]
+    p = (k - 1) // 2
+    _, _, rows, cols, windows = ops._tap_grid(xshape, k, stride, padding)
+    kern = kern[:, rows, cols].reshape(len(kern), -1, 1, 1)
     gxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=g.dtype)
     tmp = np.empty_like(g)
-    for ki in range(k):
-        for kj in range(k):
-            tap = kk[ki, kj] if kk.ndim == 2 else kk[:, ki, kj][None, :, None, None]
-            gxp[:, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride] += np.multiply(
-                g, tap, out=tmp
-            )
+    for t, window in enumerate(windows):
+        gxp[window] += np.multiply(g, kern[:, t], out=tmp)
     return gxp
 
 
@@ -192,9 +177,9 @@ def _scatter_separable(g, cols, rows, xshape, stride, p):
     for col, row in zip(cols, rows):
         gt.fill(0)
         for j, b in enumerate(row):
-            gt[:, :, :, j : j + stride * ow : stride] += np.multiply(g, b, out=htmp)
+            gt[:, :, :, ops._span(j, ow, stride)] += np.multiply(g, b, out=htmp)
         for i, a in enumerate(col):
-            gxp[:, :, i : i + stride * oh : stride] += np.multiply(gt, a, out=vtmp)
+            gxp[:, :, ops._span(i, oh, stride)] += np.multiply(gt, a, out=vtmp)
     return gxp
 
 
@@ -222,24 +207,26 @@ def conv2d(x, weight, bias=None, *, stride: int = 1, padding: str = ops.ZERO):
     xv, wv = _lift(tape, x), _lift(tape, weight)
     bv = None if bias is None else _lift(tape, bias)
     xa, wa = xv.value.data, wv.value.data
-    cout, cin, k, _ = wa.shape
-    p = (k - 1) // 2
+    cout, _, k, _ = wa.shape
+    _, _, rows, cols, _ = ops._tap_grid(xa.shape, k, stride, padding)
+    wlive = wa[:, :, rows, cols]
+    wmat = wlive.reshape(cout, -1)
 
     def vjp(g, needed):
         n, _, oh, ow = g.shape
-        gt = g.transpose(0, 2, 3, 1).reshape(-1, cout)
+        g3 = g.reshape(n, cout, oh * ow)
         gx = gw = gb = None
         if bv is not None and needed[2]:
             gb = g.sum(axis=(0, 2, 3))
-        if needed[0] or needed[1]:
-            win = ops._windows(ops._pad2d(xa, p, padding), k, stride)
-            if needed[1]:
-                cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(-1, cin * k * k)
-                gw = (gt.T @ cols).reshape(cout, cin, k, k)
-            if needed[0]:
-                gcols = gt @ wa.reshape(cout, -1)
-                gwin = gcols.reshape(n, oh, ow, cin, k, k).transpose(0, 3, 1, 2, 4, 5)
-                gx = _scatter_windows(gwin, xa.shape, k, stride, p, padding)
+        if needed[1]:
+            patches = ops._im2col(xa, k, stride, padding)[0].reshape(n, wmat.shape[1], oh * ow)
+            gw = np.zeros_like(wa)
+            gw[:, :, rows, cols] = np.matmul(g3, patches.transpose(0, 2, 1)).sum(axis=0).reshape(
+                wlive.shape
+            )
+        if needed[0]:
+            gxp = ops._col2im(np.matmul(wmat.T, g3), xa.shape, k, stride, padding)
+            gx = _unpad_grad(gxp, (k - 1) // 2, padding, *xa.shape[2:])
         return (gx, gw) if bv is None else (gx, gw, gb)
 
     operands = (xv, wv) if bv is None else (xv, wv, bv)
@@ -253,24 +240,24 @@ def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ops.ZERO):
         return y
     xv, kv = _lift(tape, x), _lift(tape, kernel)
     xa, ka = xv.value.data, kv.value.data
-    shared = ka.ndim == 2
     k = ka.shape[-1]
     p = (k - 1) // 2
-    factors = ops._low_rank(ka) if shared else None
+    factors = ops._low_rank(ka) if ka.ndim == 2 else None
 
     def vjp(g, needed):
         gx = gk = None
         if needed[1]:
-            win = ops._windows(ops._pad2d(xa, p, padding), k, stride)
-            if shared:
-                gk = np.einsum("nchwkl,nchw->kl", win, g)
-            else:
-                gk = np.einsum("nchwkl,nchw->ckl", win, g)[:, None]
+            patches, rows, cols = ops._im2col(xa, k, stride, padding)
+            per_tap = np.einsum("nctij,ncij->ct", patches, g)
+            gk = np.zeros_like(ka)
+            gk[..., rows, cols] = (per_tap if ka.ndim == 4 else per_tap.sum(axis=0)).reshape(
+                gk[..., rows, cols].shape
+            )
         if needed[0]:
             if factors is not None:
                 gxp = _scatter_separable(g, *factors, xa.shape, stride, p)
             else:
-                gxp = _scatter_taps(g, ka if shared else ka[:, 0], xa.shape, stride, p)
+                gxp = _scatter_taps(g, ka.reshape(-1, k, k), xa.shape, stride, padding)
             gx = _unpad_grad(gxp, p, padding, xa.shape[2], xa.shape[3])
         return gx, gk
 
@@ -605,6 +592,10 @@ def finite_diff_check(
     mutated between draws) and returns their losses in order.  This path
     is the independent oracle: it never touches the tape.
     """
+    if coords_per_tensor < 1:
+        raise ConfigError(f"coords_per_tensor must be at least 1, got {coords_per_tensor}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError(f"finite-difference eps must be finite and positive, got {eps}")
     rng = np.random.default_rng(seed)
     report = GradReport(eps=eps, dtype=str(next(iter(params.values())).dtype) if params else "float64",
                         coords_per_tensor=coords_per_tensor)

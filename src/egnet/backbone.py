@@ -526,6 +526,21 @@ def _pyramid_forward(x, pview, cfg, mode, trace=None, skip_blocks=False):
     return FeaturePyramid(tuple(levels))
 
 
+def _check_input(shape) -> None:
+    """Raise DimensionError unless ``shape`` is ``(n, 3, h, w)`` with n >= 1
+    and h, w positive multiples of 32."""
+    if len(shape) != 4 or shape[0] < 1 or shape[1] != 3:
+        raise DimensionError(
+            f"backbone input must be (n, 3, h, w) with n >= 1, got {tuple(shape)}", axis="c"
+        )
+    h, w = shape[2:]
+    if h < 1 or w < 1 or h % 32 or w % 32:
+        raise DimensionError(
+            f"backbone input spatial dims must be positive multiples of 32, got {h}x{w}",
+            axis="h",
+        )
+
+
 def backbone_forward(x, model: Model, mode: Mode | None = None, trace: dict | None = None,
                      skip_blocks: bool = False) -> FeaturePyramid:
     """Run the full backbone; returns the four-level feature pyramid.
@@ -537,13 +552,7 @@ def backbone_forward(x, model: Model, mode: Mode | None = None, trace: dict | No
     if mode is None:
         mode = Mode()
     x = x if isinstance(x, Tensor) else Tensor(x)
-    if x.ndim != 4 or x.c != 3:
-        raise DimensionError(f"backbone input must be (n, 3, h, w), got {x.shape}", axis="c")
-    if x.h % 32 or x.w % 32:
-        raise DimensionError(
-            f"backbone input spatial dims must be divisible by 32, got {x.h}x{x.w}",
-            axis="h",
-        )
+    _check_input(x.shape)
     pview = ParamView(model)
     return _pyramid_forward(x, pview, model.config, mode, trace, skip_blocks)
 
@@ -587,14 +596,6 @@ def _each(param, op):
     if isinstance(param, _Probes):
         return np.concatenate([op(np.asarray(v)) for v in param.values], axis=-1)
     return op(param)
-
-
-def _live(size, k, stride):
-    # Output size and the range of kernel offsets that read at least one
-    # real pixel along an axis of ``size`` under zero padding.
-    p = (k - 1) // 2
-    out = (size + 2 * p - k) // stride + 1
-    return out, max(0, p - (out - 1) * stride), min(k, p + size)
 
 
 class _StackedOps:
@@ -650,62 +651,35 @@ class _StackedOps:
 
     @staticmethod
     def conv2d(x, weight, *, stride=1):
-        # Zero padding; im2col over the kernel taps that read real pixels,
-        # then a matmul.
-        cout, cin, k, _ = weight.shape
-        n, _, h, w, P = x.shape
-        oh, r0, r1 = _live(h, k, stride)
-        ow, c0, c1 = _live(w, k, stride)
-        if (r0, r1, c0, c1) == (0, 1, 0, 1) and stride == 1:
-            cols = x.reshape(n, cin, -1)
-        else:
-            xp = ops._pad2d(x, (k - 1) // 2, ops.ZERO)
-            cols = np.empty((n, cin, r1 - r0, c1 - c0, oh, ow, P), dtype=x.dtype)
-            for ki in range(r0, r1):
-                for kj in range(c0, c1):
-                    cols[:, :, ki - r0, kj - c0] = xp[:, :, ki : ki + stride * oh : stride,
-                                                      kj : kj + stride * ow : stride]
-            cols = cols.reshape(n, -1, oh * ow * P)
+        # Zero padding: the patches of the taps that read real pixels,
+        # gathered once, then one matmul per weight value.
+        cout, _, k, _ = weight.shape
+        patches, rows, cols = ops._im2col(x, k, stride, ops.ZERO)
+        n, _, _, oh, ow, P = patches.shape
+        patches = patches.reshape(n, -1, oh * ow * P)
         return _each(
             weight,
-            lambda wt: np.matmul(wt[:, :, r0:r1, c0:c1].reshape(cout, -1), cols).reshape(
+            lambda wt: np.matmul(wt[:, :, rows, cols].reshape(cout, -1), patches).reshape(
                 n, cout, oh, ow, P
             ),
         )
 
     def depthwise_conv2d(self, x, kernel, *, padding=ops.ZERO):
         if len(kernel.shape) == 4:
-            return _each(kernel, lambda kern: self._shifted_sum(x, kern[:, 0], padding))
+            return _each(kernel, lambda kern: ops._shifted_sum(x, kern[:, 0], 1, padding))
         # One fixed (k, k) kernel for every channel.  On small maps: one
         # matmul with the (hw, hw) operator it induces, built once per map
         # size by filtering the identity basis.
         n, c, h, w, P = x.shape
         if (h * w) ** 2 > self.MAX_OPERATOR:
-            return self._shifted_sum(x, kernel[None], padding)
+            return ops._shifted_sum(x, kernel[None], 1, padding)
         key = (kernel.tobytes(), padding, h, w)
         op = self._operators.get(key)
         if op is None:
             basis = np.eye(h * w, dtype=x.dtype).reshape(1, 1, h, w, h * w)
-            op = self._shifted_sum(basis, kernel[None], padding).reshape(h * w, h * w)
+            op = ops._shifted_sum(basis, kernel[None], 1, padding).reshape(h * w, h * w)
             self._operators[key] = op
         return np.matmul(op, x.reshape(n, c, h * w, P)).reshape(x.shape)
-
-    @staticmethod
-    def _shifted_sum(x, kern, padding):
-        # Depthwise conv with (1 or c, k, k) kernels as a sum of shifted,
-        # scaled copies of the map; under zero padding, taps that read only
-        # padding are skipped.
-        k = kern.shape[-1]
-        h, w = x.shape[2:4]
-        rows = cols = range(k)
-        if padding == ops.ZERO:
-            rows, cols = range(*_live(h, k, 1)[1:]), range(*_live(w, k, 1)[1:])
-        xp = ops._pad2d(x, (k - 1) // 2, padding)
-        y = np.zeros_like(x)
-        for ki in rows:
-            for kj in cols:
-                y += xp[:, :, ki : ki + h, kj : kj + w] * kern[:, ki, kj][:, None, None, None]
-        return y
 
 
 class _ProbeView:
@@ -823,6 +797,7 @@ def backbone_gradcheck(
     parameters are checked; frozen kernels have no gradient entries to
     check and running statistics are unused in batch mode.
     """
+    _check_input(x.shape)
     m64 = model.astype(np.float64)
     x64 = x.astype(np.float64)
     cfg = m64.config

@@ -16,6 +16,7 @@ from . import __version__
 from .backbone import (
     BackboneConfig,
     Mode,
+    _check_input,
     backbone_forward,
     backbone_gradcheck,
     build_model,
@@ -193,6 +194,7 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    _check_input((1, 3, args.size, args.size))
     model = build_model(BackboneConfig.for_variant(args.variant), seed=args.seed)
     rng = np.random.default_rng(args.seed)
     x = Tensor(rng.normal(0.0, 1.0, size=(1, 3, args.size, args.size)).astype(np.float32))

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigError,
@@ -67,25 +66,76 @@ def _pad2d(a: np.ndarray, p: int, padding: str) -> np.ndarray:
     return out
 
 
-def _windows(a: np.ndarray, k: int, stride: int) -> np.ndarray:
-    # (n, c, oh, ow, k, k) strided view over the padded array.
-    win = sliding_window_view(a, (k, k), axis=(2, 3))
-    if stride > 1:
-        win = win[:, :, ::stride, ::stride]
-    return win
+def _span(offset: int, out: int, stride: int) -> slice:
+    # The slice of a padded axis that kernel offset ``offset`` reads for
+    # ``out`` outputs.
+    return slice(offset, offset + stride * out, stride)
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
-    # Contiguous (n, c, k*k, oh*ow) patch buffer, assembled with k*k plain
-    # slice copies; far cheaper than copying a 6-D strided view.
-    n, c, hp, wp = xp.shape
-    oh = (hp - k) // stride + 1
-    ow = (wp - k) // stride + 1
-    buf = np.empty((n, c, k, k, oh, ow), dtype=xp.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            buf[:, :, ki, kj] = xp[:, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride]
-    return buf.reshape(n, c, k * k, oh * ow)
+def _tap_grid(shape, k: int, stride: int, padding: str):
+    """Where the taps of a ``k x k`` kernel read a map of ``shape`` once padded.
+
+    ``shape`` is ``(n, c, h, w, ...)``.  Returns ``(oh, ow, rows, cols,
+    windows)``: the output size, the kernel rows and columns read (slices
+    of ``range(k)``), and the padded map's index for each tap of
+    ``kernel[..., rows, cols]`` in row-major order.  Under zero padding,
+    taps that read only padding add nothing and are left out.
+    """
+    p = (k - 1) // 2
+    oh, ow = ((size + 2 * p - k) // stride + 1 for size in shape[2:4])
+    rows = cols = slice(0, k)
+    if padding == ZERO:
+        rows = slice(max(0, p - (oh - 1) * stride), min(k, p + shape[2]))
+        cols = slice(max(0, p - (ow - 1) * stride), min(k, p + shape[3]))
+    windows = [(slice(None), slice(None), _span(i, oh, stride), _span(j, ow, stride))
+               for i in range(k)[rows] for j in range(k)[cols]]
+    return oh, ow, rows, cols, windows
+
+
+def _im2col(x: np.ndarray, k: int, stride: int, padding: str):
+    """``(patches, rows, cols)``: ``x`` gathered under the taps of :func:`_tap_grid`.
+
+    ``patches`` is ``(n, c, taps, oh, ow, ...)``, one slice copy per tap
+    (far cheaper than copying a strided window view); for a pointwise
+    kernel at stride 1 it is a view of ``x``.
+    """
+    oh, ow, rows, cols, windows = _tap_grid(x.shape, k, stride, padding)
+    if k == 1 and stride == 1:
+        return x[:, :, None], rows, cols
+    xp = _pad2d(x, (k - 1) // 2, padding)
+    patches = np.empty((*x.shape[:2], len(windows), oh, ow, *x.shape[4:]), dtype=x.dtype)
+    for t, window in enumerate(windows):
+        patches[:, :, t] = xp[window]
+    return patches, rows, cols
+
+
+def _col2im(patches: np.ndarray, shape, k: int, stride: int, padding: str) -> np.ndarray:
+    """Adjoint of :func:`_im2col`: adds each tap's slab of ``patches`` onto
+    the window of the padded map it was read from."""
+    if k == 1 and stride == 1:
+        return patches.reshape(shape)
+    oh, ow, _, _, windows = _tap_grid(shape, k, stride, padding)
+    n, c, h, w, *trail = shape
+    p = (k - 1) // 2
+    patches = patches.reshape(n, c, len(windows), oh, ow, *trail)
+    gxp = np.zeros((n, c, h + 2 * p, w + 2 * p, *trail), dtype=patches.dtype)
+    for t, window in enumerate(windows):
+        gxp[window] += patches[:, :, t]
+    return gxp
+
+
+def _shifted_sum(x: np.ndarray, kern: np.ndarray, stride: int, padding: str) -> np.ndarray:
+    """Depthwise correlation with ``(m, k, k)`` kernels, ``m`` = 1 (shared) or c:
+    a multiply-accumulate of one scaled, shifted copy of the map per tap."""
+    k = kern.shape[-1]
+    oh, ow, rows, cols, windows = _tap_grid(x.shape, k, stride, padding)
+    xp = _pad2d(x, (k - 1) // 2, padding)
+    kern = kern[:, rows, cols].reshape(len(kern), -1, *(1,) * (x.ndim - 2))
+    y = np.zeros((*x.shape[:2], oh, ow, *x.shape[4:]), dtype=x.dtype)
+    tmp = np.empty_like(y)
+    for t, window in enumerate(windows):
+        y += np.multiply(xp[window], kern[:, t], out=tmp)
+    return y
 
 
 def conv2d(x, weight, bias=None, *, stride: int = 1, padding: str = ZERO) -> Tensor:
@@ -122,18 +172,12 @@ def conv2d(x, weight, bias=None, *, stride: int = 1, padding: str = ZERO) -> Ten
 
 
 def _conv2d_raw(xa, wa, ba, stride, padding) -> np.ndarray:
-    n, _, h, w = xa.shape
-    cout, cin, k, _ = wa.shape
-    if k == 1 and stride == 1:
-        # Pointwise fast path: one batched matmul, no padding or windows.
-        y = np.matmul(wa.reshape(cout, cin), xa.reshape(n, cin, h * w)).reshape(n, cout, h, w)
-    else:
-        p = (k - 1) // 2
-        xp = _pad2d(xa, p, padding)
-        oh = (h + 2 * p - k) // stride + 1
-        ow = (w + 2 * p - k) // stride + 1
-        cols = _im2col(xp, k, stride).reshape(n, cin * k * k, oh * ow)
-        y = np.matmul(wa.reshape(cout, cin * k * k), cols).reshape(n, cout, oh, ow)
+    n = xa.shape[0]
+    cout, _, k, _ = wa.shape
+    patches, rows, cols = _im2col(xa, k, stride, padding)
+    wmat = wa[:, :, rows, cols].reshape(cout, -1)
+    oh, ow = patches.shape[3:5]
+    y = np.matmul(wmat, patches.reshape(n, wmat.shape[1], oh * ow)).reshape(n, cout, oh, ow)
     if ba is not None:
         y = y + ba[None, :, None, None]
     return np.ascontiguousarray(y)
@@ -205,40 +249,19 @@ def _separable_raw(xp, cols, rows, stride, oh, ow) -> np.ndarray:
     for col, row in zip(cols, rows):
         t.fill(0)
         for i, a in enumerate(col):
-            t += np.multiply(xp[:, :, i : i + stride * oh : stride], a, out=vtmp)
+            t += np.multiply(xp[:, :, _span(i, oh, stride)], a, out=vtmp)
         for j, b in enumerate(row):
-            y += np.multiply(t[:, :, :, j : j + stride * ow : stride], b, out=htmp)
+            y += np.multiply(t[:, :, :, _span(j, ow, stride)], b, out=htmp)
     return y
 
 
 def _depthwise_raw(xa, ka, stride, padding) -> np.ndarray:
     k = ka.shape[-1]
-    p = (k - 1) // 2
-    xp = _pad2d(xa, p, padding)
-    shared = ka.ndim == 2
-    n, c, hp, wp = xp.shape
-    oh = (hp - k) // stride + 1
-    ow = (wp - k) // stride + 1
-    factors = _low_rank(ka) if shared else None
-    if factors is not None:
-        return _separable_raw(xp, *factors, stride, oh, ow)
-    if k <= 3:
-        # Shift-and-accumulate: cheapest for small kernels.
-        y = np.zeros((n, c, oh, ow), dtype=xa.dtype)
-        for ki in range(k):
-            for kj in range(k):
-                tap = xp[:, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride]
-                if shared:
-                    y += tap * ka[ki, kj]
-                else:
-                    y += tap * ka[:, 0, ki, kj][None, :, None, None]
-        return y
-    cols = _im2col(xp, k, stride)  # (n, c, k*k, oh*ow)
-    if shared:
-        y = np.matmul(ka.reshape(k * k), cols)
-    else:
-        y = np.matmul(ka.reshape(c, 1, k * k), cols)[:, :, 0]
-    return np.ascontiguousarray(y.reshape(n, c, oh, ow))
+    factors = _low_rank(ka) if ka.ndim == 2 else None
+    if factors is None:
+        return _shifted_sum(xa, ka.reshape(-1, k, k), stride, padding)
+    oh, ow = _tap_grid(xa.shape, k, stride, padding)[:2]
+    return _separable_raw(_pad2d(xa, (k - 1) // 2, padding), *factors, stride, oh, ow)
 
 
 def conv1d_channels(v, weight) -> Tensor:

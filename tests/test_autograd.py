@@ -17,7 +17,7 @@ from egnet.backbone import (
     edge_attention,
     leg_block_forward,
 )
-from egnet.errors import ContractError, VerificationError
+from egnet.errors import ConfigError, ContractError, VerificationError
 from egnet.kernels import KernelSpec
 from egnet.tensor import Tensor
 
@@ -47,7 +47,27 @@ def check_op_grads(builder, arrays, *, coords=60, eps=1e-5, tol=1e-6, seed=0):
         loss_fn, arrays, analytic, eps=eps, seed=seed, coords_per_tensor=coords
     )
     assert report.passed(tol), report.lines()
-    return report
+    return analytic
+
+
+def assert_dead_taps_zero(grad, hw, stride):
+    """Kernel rows/cols that read only zero padding get exactly zero gradient."""
+    k = grad.shape[-1]
+    p = (k - 1) // 2
+    for axis, size in zip((-2, -1), hw):
+        out = (size + 2 * p - k) // stride + 1
+        dead = [i for i in range(k)
+                if not any(0 <= o * stride + i - p < size for o in range(out))]
+        assert not np.take(grad, dead, axis=axis).any()
+
+
+# The odd-sized map under both paddings, and maps so small under zero
+# padding that some kernel taps read only padding.
+MAPS = pytest.mark.parametrize(
+    "padding, hw",
+    [(ops.ZERO, (7, 9)), (ops.REPLICATE, (7, 9)), (ops.ZERO, (1, 1)), (ops.ZERO, (2, 2))],
+    ids=["zero-7x9", "replicate-7x9", "zero-1x1", "zero-2x2"],
+)
 
 
 class TestBackwardBasics:
@@ -109,12 +129,17 @@ class TestBackwardBasics:
 
 
 class TestPerOpGradients:
-    def test_conv2d(self, rng):
-        check_op_grads(
-            lambda v: ag.conv2d(v["x"], v["w"], v["b"]),
-            dict(x=rng.normal(size=(2, 3, 5, 5)), w=rng.normal(size=(4, 3, 3, 3)),
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @MAPS
+    def test_conv2d(self, rng, k, stride, padding, hw):
+        grads = check_op_grads(
+            lambda v: ag.conv2d(v["x"], v["w"], v["b"], stride=stride, padding=padding),
+            dict(x=rng.normal(size=(2, 3, *hw)), w=rng.normal(size=(4, 3, k, k)),
                  b=rng.normal(size=4)),
         )
+        if padding == ops.ZERO:
+            assert_dead_taps_zero(grads["w"], hw, stride)
 
     def test_conv2d_strided_replicate(self, rng):
         check_op_grads(
@@ -122,11 +147,16 @@ class TestPerOpGradients:
             dict(x=rng.normal(size=(1, 2, 6, 6)), w=rng.normal(size=(3, 2, 5, 5))),
         )
 
-    def test_depthwise_per_channel(self, rng):
-        check_op_grads(
-            lambda v: ag.depthwise_conv2d(v["x"], v["k"], padding=ops.REPLICATE),
-            dict(x=rng.normal(size=(1, 3, 6, 6)), k=rng.normal(size=(3, 1, 3, 3))),
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @MAPS
+    def test_depthwise_per_channel(self, rng, k, stride, padding, hw):
+        grads = check_op_grads(
+            lambda v: ag.depthwise_conv2d(v["x"], v["k"], stride=stride, padding=padding),
+            dict(x=rng.normal(size=(1, 3, *hw)), k=rng.normal(size=(3, 1, k, k))),
         )
+        if padding == ops.ZERO:
+            assert_dead_taps_zero(grads["k"], hw, stride)
 
     def test_depthwise_shared_kernel(self, rng):
         check_op_grads(
@@ -414,6 +444,17 @@ class TestFiniteDiffCheckApi:
         lines = report.lines()
         assert any(line.startswith("param=x ") for line in lines)
         assert lines[-1].startswith("gradcheck max_rel_err=")
+
+    @pytest.mark.parametrize(
+        "settings",
+        [dict(coords_per_tensor=0), dict(coords_per_tensor=-1), dict(eps=0.0),
+         dict(eps=-1e-5), dict(eps=float("inf")), dict(eps=float("nan"))],
+        ids=["coords=0", "coords=-1", "eps=0", "eps<0", "eps=inf", "eps=nan"],
+    )
+    def test_rejects_settings_that_check_nothing(self, settings):
+        with pytest.raises(ConfigError):
+            finite_diff_check(lambda overrides: 0.0, {"p": np.ones(3)}, {"p": np.zeros(3)},
+                              **settings)
 
     def test_batched_loss_reports_first_bad_coordinate_in_sample_order(self):
         sample = np.random.default_rng(0).choice(50, size=20, replace=False)

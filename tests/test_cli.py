@@ -11,9 +11,10 @@ import zlib
 import numpy as np
 import pytest
 
+import egnet
 from egnet.backbone import BackboneConfig, Model, Param, build_model
 from egnet.cli import main
-from egnet.tensor import Tensor, load_raw_tensor
+from egnet.tensor import Tensor, load_raw_tensor, save_raw_tensor
 from egnet.weights import save_weights
 
 
@@ -178,6 +179,29 @@ class TestErrorSurface:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error category=shape ")
 
+    @pytest.mark.parametrize("fit", ["pad", "none"])
+    def test_empty_raw_tensor_is_a_shape_error(self, fit, tiny_weights, tmp_path, capsys):
+        path = str(tmp_path / "empty.rt")
+        save_raw_tensor(Tensor(np.zeros((1, 3, 0, 0), dtype=np.float32)), path)
+        rc = main(["features", "--weights", tiny_weights, "--image", path,
+                   "--out-dir", str(tmp_path / "o"), "--fit", fit])
+        assert rc == 1
+        assert re.fullmatch(r'error category=shape message="[^"\n]*"\n', capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "args, category",
+        [(["--size", "0"], "shape"), (["--size", "-32"], "shape"),
+         (["--coords", "0"], "config"), (["--coords", "-1"], "config"),
+         (["--eps", "0"], "config")],
+        ids=["size=0", "size=-32", "coords=0", "coords=-1", "eps=0"],
+    )
+    def test_gradcheck_that_would_check_nothing_is_one_error_line(self, args, category, capsys):
+        rc = main(["gradcheck", "--variant", "tiny", *args])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert re.fullmatch(rf'error category={category} message="[^"\n]*"\n', captured.err)
+        assert captured.out == ""
+
     def test_bad_kernel_config(self, capsys):
         rc = main(["kernels", "--type", "gaussian", "--size", "4", "--sigma", "1.0"])
         assert rc == 1
@@ -233,9 +257,13 @@ class TestErrorSurface:
 
 
 def test_module_entry_point_version():
+    # The child imports the same egnet as this process, however that one
+    # was put on the path.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(egnet.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "egnet", "--version"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("egnet ")

@@ -59,6 +59,12 @@ class TestConv2d:
         x = _t(rng.normal(size=(1, 2, 7, 5)))
         w = _t(rng.normal(size=(4, 2, 3, 3)))
         assert ops.conv2d(x, w, stride=2).shape == (1, 4, 4, 3)
+        # An empty batch or map gives an empty output.
+        for shape, k, stride, out in (((0, 2, 7, 5), 3, 2, (0, 4, 4, 3)),
+                                      ((1, 2, 0, 5), 3, 1, (1, 4, 0, 5)),
+                                      ((1, 2, 0, 0), 1, 1, (1, 4, 0, 0))):
+            wk = _t(rng.normal(size=(4, 2, k, k)))
+            assert ops.conv2d(_t(np.zeros(shape)), wk, stride=stride).shape == out
 
     def test_bias(self, rng):
         x = _t(rng.normal(size=(1, 2, 4, 4)))
