@@ -150,39 +150,6 @@ def backward(loss: Var) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _scatter_taps(g, kern, xshape, stride, padding):
-    # Adjoint of ``ops._shifted_sum`` with the (m, k, k) kernels ``kern``:
-    # each tap adds its scaled copy of g into the padded gradient.
-    n, c, h, w = xshape
-    k = kern.shape[-1]
-    p = (k - 1) // 2
-    _, _, rows, cols, windows = ops._tap_grid(xshape, k, stride, padding)
-    kern = kern[:, rows, cols].reshape(len(kern), -1, 1, 1)
-    gxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=g.dtype)
-    tmp = np.empty_like(g)
-    for t, window in enumerate(windows):
-        gxp[window] += np.multiply(g, kern[:, t], out=tmp)
-    return gxp
-
-
-def _scatter_separable(g, cols, rows, xshape, stride, p):
-    # Adjoint of ``ops._separable_raw``: per factor, g goes back through
-    # the horizontal taps, then through the vertical taps into the padded
-    # gradient.
-    n, c, h, w = xshape
-    oh, ow = g.shape[2], g.shape[3]
-    gxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=g.dtype)
-    gt = np.empty((n, c, oh, w + 2 * p), dtype=g.dtype)
-    htmp, vtmp = np.empty_like(g), np.empty_like(gt)
-    for col, row in zip(cols, rows):
-        gt.fill(0)
-        for j, b in enumerate(row):
-            gt[:, :, :, ops._span(j, ow, stride)] += np.multiply(g, b, out=htmp)
-        for i, a in enumerate(col):
-            gxp[:, :, ops._span(i, oh, stride)] += np.multiply(gt, a, out=vtmp)
-    return gxp
-
-
 def _unpad_grad(gxp, p, padding, h, w):
     if p == 0:
         return gxp
@@ -233,6 +200,22 @@ def conv2d(x, weight, bias=None, *, stride: int = 1, padding: str = ops.ZERO):
     return tape._record("conv2d", y, operands, vjp)
 
 
+def _depthwise_input_grad(g, ka, xshape, stride, padding):
+    # The adjoint of a correlation is the correlation with the flipped
+    # kernel over g placed at its stride (Dumoulin & Visin, arXiv
+    # 1603.07285), so the forward kernel runs it.  Under replicate
+    # padding g sits in the padded frame, whose border folds back onto
+    # the edge pixels it was copied from.
+    n, c, h, w = xshape
+    p = (ka.shape[-1] - 1) // 2 if padding == ops.REPLICATE else 0
+    if stride > 1 or p:
+        spread = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=g.dtype)
+        spread[:, :, p : p + h : stride, p : p + w : stride] = g
+        g = spread
+    gxp = ops._depthwise_raw(g, ka[..., ::-1, ::-1], 1, ops.ZERO)
+    return _unpad_grad(gxp, p, padding, h, w)
+
+
 def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ops.ZERO):
     tape = _tape_of(x, kernel)
     y = ops.depthwise_conv2d(_value(x), _value(kernel), stride=stride, padding=padding)
@@ -241,8 +224,6 @@ def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ops.ZERO):
     xv, kv = _lift(tape, x), _lift(tape, kernel)
     xa, ka = xv.value.data, kv.value.data
     k = ka.shape[-1]
-    p = (k - 1) // 2
-    factors = ops._low_rank(ka) if ka.ndim == 2 else None
 
     def vjp(g, needed):
         gx = gk = None
@@ -254,11 +235,7 @@ def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ops.ZERO):
                 gk[..., rows, cols].shape
             )
         if needed[0]:
-            if factors is not None:
-                gxp = _scatter_separable(g, *factors, xa.shape, stride, p)
-            else:
-                gxp = _scatter_taps(g, ka.reshape(-1, k, k), xa.shape, stride, padding)
-            gx = _unpad_grad(gxp, p, padding, xa.shape[2], xa.shape[3])
+            gx = _depthwise_input_grad(g, ka, xa.shape, stride, padding)
         return gx, gk
 
     return tape._record("depthwise_conv2d", y, (xv, kv), vjp)
@@ -280,8 +257,8 @@ def conv1d_channels(v, weight):
         g2 = g[None, :] if squeeze else g
         gv = gw = None
         if needed[0]:
-            gp = np.pad(g2, ((0, 0), (p, p)))
-            gv = sliding_window_view(gp, k, axis=1) @ wa[::-1]
+            # The flipped kernel's correlation, as for depthwise_conv2d.
+            gv = ops._conv1d_raw(g2, wa[::-1])
             if squeeze:
                 gv = gv[0]
         if needed[1]:
@@ -572,6 +549,14 @@ def _probe_values(work: np.ndarray, coords, eps: float):
         work.flat[coord] = orig
 
 
+def _check_fd_settings(eps: float, coords_per_tensor: int) -> None:
+    # Settings under which a check would compare nothing, or nonsense.
+    if coords_per_tensor < 1:
+        raise ConfigError(f"coords_per_tensor must be at least 1, got {coords_per_tensor}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError(f"finite-difference eps must be finite and positive, got {eps}")
+
+
 def finite_diff_check(
     loss_fn,
     params: dict[str, np.ndarray],
@@ -592,10 +577,7 @@ def finite_diff_check(
     mutated between draws) and returns their losses in order.  This path
     is the independent oracle: it never touches the tape.
     """
-    if coords_per_tensor < 1:
-        raise ConfigError(f"coords_per_tensor must be at least 1, got {coords_per_tensor}")
-    if not (math.isfinite(eps) and eps > 0):
-        raise ConfigError(f"finite-difference eps must be finite and positive, got {eps}")
+    _check_fd_settings(eps, coords_per_tensor)
     rng = np.random.default_rng(seed)
     report = GradReport(eps=eps, dtype=str(next(iter(params.values())).dtype) if params else "float64",
                         coords_per_tensor=coords_per_tensor)

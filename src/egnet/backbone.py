@@ -35,7 +35,7 @@ from . import autograd as ag
 from . import ops
 from .autograd import GradReport, Tape, finite_diff_check
 from .errors import ConfigError, ContractError, DimensionError
-from .kernels import gaussian_kernel, log_kernel, scharr_kernels
+from .kernels import KernelSpec
 from .tensor import DEFAULT_DTYPE, Tensor
 
 VARIANTS = {"tiny": 32, "small": 64}
@@ -177,7 +177,7 @@ class Mode:
 
 
 class ParamView:
-    """Uniform parameter accessor for plain, overridden, and taped forwards.
+    """Uniform parameter accessor for plain and taped forwards.
 
     Taped access registers each parameter exactly once as a (possibly
     frozen) named leaf; repeated lookups return the same Var.  ``ops`` is
@@ -187,10 +187,9 @@ class ParamView:
 
     ops = ag
 
-    def __init__(self, model: Model, tape: Tape | None = None, overrides=None):
+    def __init__(self, model: Model, tape: Tape | None = None):
         self._model = model
         self._tape = tape
-        self._overrides = overrides or {}
         self._cache = {}
 
     def __call__(self, name: str):
@@ -198,11 +197,7 @@ class ParamView:
         if hit is not None:
             return hit
         p = self._model.params[name]
-        if name in self._overrides:
-            value = Tensor(np.asarray(self._overrides[name], dtype=p.value.dtype))
-        else:
-            value = p.value
-        out = value if self._tape is None else self._tape.leaf(value, name=name, frozen=p.frozen)
+        out = p.value if self._tape is None else self._tape.leaf(p.value, name=name, frozen=p.frozen)
         self._cache[name] = out
         return out
 
@@ -212,12 +207,12 @@ class ParamView:
 # ---------------------------------------------------------------------------
 
 FIXED_KERNEL_SPECS = {
-    "fixed.log7": ("log", 7, 1.0),
-    "fixed.gauss9_s05": ("gaussian", 9, 0.5),
-    "fixed.gauss5_s05": ("gaussian", 5, 0.5),
-    "fixed.gauss5_s10": ("gaussian", 5, 1.0),
-    "fixed.scharr_x": ("scharr_x", 3, None),
-    "fixed.scharr_y": ("scharr_y", 3, None),
+    "fixed.log7": KernelSpec("log", 7, 1.0),
+    "fixed.gauss9_s05": KernelSpec("gaussian", 9, 0.5),
+    "fixed.gauss5_s05": KernelSpec("gaussian", 5, 0.5),
+    "fixed.gauss5_s10": KernelSpec("gaussian", 5, 1.0),
+    "fixed.scharr_x": KernelSpec("scharr_x"),
+    "fixed.scharr_y": KernelSpec("scharr_y"),
 }
 
 
@@ -234,16 +229,6 @@ def eca_kernel_size(channels: int, gamma: int = 2, beta: int = 1) -> int:
         lo = 1
     hi = lo + 2
     return hi if (t - lo) >= (hi - t) else lo
-
-
-def _generate_fixed(name: str) -> np.ndarray:
-    kind, size, sigma = FIXED_KERNEL_SPECS[name]
-    if kind == "gaussian":
-        return gaussian_kernel(size, sigma)
-    if kind == "log":
-        return log_kernel(size, sigma)
-    sx, sy = scharr_kernels()
-    return sx if kind == "scharr_x" else sy
 
 
 def param_specs(config: BackboneConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -271,8 +256,8 @@ def param_specs(config: BackboneConfig) -> list[tuple[str, tuple[int, ...], str]
         norm(prefix + ".norm_pool.norm", 2 * cin)
         norm(prefix + ".an.norm", 2 * cin)
 
-    for name, (_, size, _) in FIXED_KERNEL_SPECS.items():
-        put(name, (size, size), "fixed_kernel")
+    for name, spec in FIXED_KERNEL_SPECS.items():
+        put(name, (spec.size, spec.size), "fixed_kernel")
 
     c = config.width
     half = c // 2
@@ -328,7 +313,7 @@ def build_model(config: BackboneConfig, seed: int = 0) -> Model:
             std = math.sqrt(2.0 / math.prod(shape[1:] or shape))
             arr = rng.normal(0.0, std, size=shape)
         elif init == "fixed_kernel":
-            arr = _generate_fixed(name)
+            arr = FIXED_KERNEL_SPECS[name].generate()
         else:
             arr = np.ones(shape) if init == "ones" else np.zeros(shape)
         frozen = init == "fixed_kernel"
@@ -394,16 +379,16 @@ def edge_attention(x) -> Tensor:
     if not isinstance(x, Tensor) and not hasattr(x, "value"):
         x = Tensor(x)
     dt = _peek(x).dtype
-    sx, sy = scharr_kernels()
-    return _edge_attention(ag, x, Tensor(sx.astype(dt)), Tensor(sy.astype(dt)))
+    sx = FIXED_KERNEL_SPECS["fixed.scharr_x"].generate().astype(dt)
+    sy = FIXED_KERNEL_SPECS["fixed.scharr_y"].generate().astype(dt)
+    return _edge_attention(ag, x, Tensor(sx), Tensor(sy))
 
 
 def gaussian_attention(x) -> Tensor:
     """Fixed 5x5 sigma-1 Gaussian smoothing, one kernel shared per channel."""
     if not isinstance(x, Tensor) and not hasattr(x, "value"):
         x = Tensor(x)
-    dt = _peek(x).dtype
-    g5 = gaussian_kernel(5, 1.0).astype(dt)
+    g5 = FIXED_KERNEL_SPECS["fixed.gauss5_s10"].generate().astype(_peek(x).dtype)
     return _gaussian_attention(ag, x, Tensor(g5))
 
 

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .autograd import _check_fd_settings
 from .backbone import (
     BackboneConfig,
     Mode,
@@ -195,6 +196,7 @@ def _cmd_features(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     _check_input((1, 3, args.size, args.size))
+    _check_fd_settings(args.eps, args.coords)
     model = build_model(BackboneConfig.for_variant(args.variant), seed=args.seed)
     rng = np.random.default_rng(args.seed)
     x = Tensor(rng.normal(0.0, 1.0, size=(1, 3, args.size, args.size)).astype(np.float32))

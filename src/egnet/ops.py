@@ -56,6 +56,10 @@ def _pad2d(a: np.ndarray, p: int, padding: str) -> np.ndarray:
     if p == 0:
         return a
     h, w = a.shape[2:4]
+    if padding == REPLICATE and h * w == 0:
+        raise DimensionError(
+            f"replicate padding needs a non-empty map, got {h}x{w}", axis="h" if h == 0 else "w"
+        )
     out = np.zeros((*a.shape[:2], h + 2 * p, w + 2 * p, *a.shape[4:]), dtype=a.dtype)
     out[:, :, p : p + h, p : p + w] = a
     if padding == REPLICATE:

@@ -18,8 +18,9 @@ from egnet.backbone import (
     leg_block_forward,
 )
 from egnet.errors import ConfigError, ContractError, VerificationError
-from egnet.kernels import KernelSpec
 from egnet.tensor import Tensor
+
+from oracles import conv1d_naive, depthwise_naive
 
 
 def check_op_grads(builder, arrays, *, coords=60, eps=1e-5, tol=1e-6, seed=0):
@@ -158,17 +159,19 @@ class TestPerOpGradients:
         if padding == ops.ZERO:
             assert_dead_taps_zero(grads["k"], hw, stride)
 
-    def test_depthwise_shared_kernel(self, rng):
+    @pytest.mark.parametrize("stride", [1, 2])
+    @MAPS
+    def test_depthwise_shared_kernel(self, rng, stride, padding, hw):
         check_op_grads(
-            lambda v: ag.depthwise_conv2d(v["x"], v["k"], padding=ops.REPLICATE),
-            dict(x=rng.normal(size=(1, 4, 6, 6)), k=rng.normal(size=(5, 5))),
+            lambda v: ag.depthwise_conv2d(v["x"], v["k"], stride=stride, padding=padding),
+            dict(x=rng.normal(size=(1, 4, *hw)), k=rng.normal(size=(5, 5))),
         )
 
     @pytest.mark.parametrize("name", ["fixed.gauss9_s05", "fixed.scharr_y", "fixed.log7"])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("padding", [ops.ZERO, ops.REPLICATE])
     def test_depthwise_low_rank_fixed_kernel(self, rng, name, stride, padding):
-        kern = KernelSpec(*FIXED_KERNEL_SPECS[name]).generate()
+        kern = FIXED_KERNEL_SPECS[name].generate()
         assert ops._low_rank(kern) is not None
         check_op_grads(
             lambda v: ag.depthwise_conv2d(v["x"], kern, stride=stride, padding=padding),
@@ -234,6 +237,51 @@ class TestPerOpGradients:
             lambda v: ag.dropout(v["x"], 0.3, training=True,
                                  rng=np.random.default_rng(5)),
             dict(x=rng.normal(size=(1, 2, 6, 6))),
+        )
+
+
+_KERNEL_RNG = np.random.default_rng(17)
+ADJOINT_KERNELS = {
+    "per-channel-3": _KERNEL_RNG.normal(size=(3, 1, 3, 3)),
+    "per-channel-5": _KERNEL_RNG.normal(size=(3, 1, 5, 5)),
+    "shared-5": _KERNEL_RNG.normal(size=(5, 5)),
+    **{name: spec.generate() for name, spec in FIXED_KERNEL_SPECS.items()},
+}
+
+
+def assert_adjoint(op, oracle, x, rng):
+    """``<A x, g> = <x, A^T g>`` in float64, with ``A x`` from the loop oracle
+    and ``A^T g`` from the taped VJP of ``op``."""
+    ax = oracle(x)
+    g = rng.normal(size=ax.shape)
+    tape = Tape()
+    xv = tape.leaf(Tensor(x), name="x")
+    atg = ag.backward(ag.sum_all(ag.mul(op(xv), Tensor(g))))["x"]
+    bound = 1e-12 * np.linalg.norm(ax) * np.linalg.norm(g)
+    assert abs(np.vdot(ax, g) - np.vdot(x, atg)) <= bound
+
+
+class TestAdjoint:
+    @pytest.mark.parametrize("name", sorted(ADJOINT_KERNELS))
+    @pytest.mark.parametrize("stride", [1, 2])
+    @MAPS
+    def test_depthwise(self, rng, name, stride, padding, hw):
+        kern = ADJOINT_KERNELS[name]
+        assert_adjoint(
+            lambda v: ag.depthwise_conv2d(v, kern, stride=stride, padding=padding),
+            lambda a: depthwise_naive(a, kern, stride=stride, padding=padding),
+            rng.normal(size=(2, 3, *hw)),
+            rng,
+        )
+
+    @pytest.mark.parametrize("shape", [(2, 16), (16,)], ids=["2x16", "16"])
+    def test_conv1d_channels(self, rng, shape):
+        w = rng.normal(size=5)
+        assert_adjoint(
+            lambda v: ag.conv1d_channels(v, w),
+            lambda a: conv1d_naive(a.reshape(-1, a.shape[-1]), w).reshape(shape),
+            rng.normal(size=shape),
+            rng,
         )
 
 
@@ -316,10 +364,8 @@ class TestLegBlockGradient:
         block_params["input"] = x
 
         def loss_fn(overrides):
-            merged = dict(block_params)
-            merged.update(overrides)
-            pv = ParamView(m64, overrides=merged)
-            xin = Tensor(merged["input"])
+            xin = Tensor(overrides.get("input", x))
+            pv = ParamView(m64.with_values({n: a for n, a in overrides.items() if n != "input"}))
             out = leg_block_forward(xin, 1, pv, "s1.b1", m64.config, mode)
             return 1e-6 * float(out.data.sum())
 

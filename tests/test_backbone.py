@@ -16,13 +16,13 @@ from egnet.backbone import (
     edge_attention,
     ega_forward,
     gaussian_attention,
-    gaussian_kernel,
     leg_block_forward,
     leg_module_forward,
     log_stem_forward,
     param_breakdown,
 )
 from egnet.errors import ConfigError, DimensionError
+from egnet.kernels import gaussian_kernel
 from egnet.tensor import Tensor
 
 

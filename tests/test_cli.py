@@ -192,10 +192,19 @@ class TestErrorSurface:
         "args, category",
         [(["--size", "0"], "shape"), (["--size", "-32"], "shape"),
          (["--coords", "0"], "config"), (["--coords", "-1"], "config"),
-         (["--eps", "0"], "config")],
-        ids=["size=0", "size=-32", "coords=0", "coords=-1", "eps=0"],
+         (["--eps", "0"], "config"), (["--eps=-1e-5"], "config"),
+         (["--eps", "inf"], "config"), (["--eps", "nan"], "config")],
+        ids=["size=0", "size=-32", "coords=0", "coords=-1", "eps=0", "eps<0", "eps=inf",
+             "eps=nan"],
     )
-    def test_gradcheck_that_would_check_nothing_is_one_error_line(self, args, category, capsys):
+    def test_gradcheck_that_would_check_nothing_is_one_error_line(
+        self, args, category, capsys, monkeypatch
+    ):
+        # The settings are rejected before any model is built.
+        def no_model(*_, **__):
+            raise AssertionError("gradcheck built a model before checking its settings")
+
+        monkeypatch.setattr("egnet.cli.build_model", no_model)
         rc = main(["gradcheck", "--variant", "tiny", *args])
         captured = capsys.readouterr()
         assert rc == 1

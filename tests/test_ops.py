@@ -13,7 +13,7 @@ from egnet.errors import (
     DimensionError,
     DomainError,
 )
-from egnet.kernels import KernelSpec, gaussian_kernel
+from egnet.kernels import gaussian_kernel
 from egnet.tensor import Tensor
 
 from oracles import (
@@ -143,7 +143,17 @@ class TestDepthwise:
             ops.depthwise_conv2d(x, k)
 
 
-SHARED_KERNELS = {name: KernelSpec(*spec).generate() for name, spec in FIXED_KERNEL_SPECS.items()}
+@pytest.mark.parametrize("shape", [(1, 3, 0, 0), (1, 3, 0, 5)], ids=["0x0", "0x5"])
+@pytest.mark.parametrize("op, kshape", [(ops.conv2d, (4, 3, 3, 3)),
+                                        (ops.depthwise_conv2d, (3, 1, 3, 3))],
+                         ids=["conv2d", "depthwise"])
+def test_replicate_padding_of_an_empty_map_is_a_dimension_error(rng, op, kshape, shape):
+    with pytest.raises(DimensionError) as err:
+        op(_t(np.zeros(shape)), _t(rng.normal(size=kshape)), padding=ops.REPLICATE)
+    assert err.value.axis == "h"
+
+
+SHARED_KERNELS = {name: spec.generate() for name, spec in FIXED_KERNEL_SPECS.items()}
 SHARED_KERNELS["random5"] = np.random.default_rng(7).normal(size=(5, 5))
 
 
