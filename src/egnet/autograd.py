@@ -133,6 +133,9 @@ def backward(loss: Var) -> dict[str, np.ndarray]:
                 continue
             # Out-of-place accumulation: vjp outputs may alias upstream grads.
             grads[p] = pg if grads[p] is None else grads[p] + pg
+        # Spent: only named leaves' gradients are returned, and leaves
+        # have no VJP, so none reaches this line.
+        grads[idx] = g = None
     out: dict[str, np.ndarray] = {}
     for name, idx in tape._leaves.items():
         node = nodes[idx]
@@ -166,6 +169,23 @@ def _unpad_grad(gxp, p, padding, h, w):
     return np.ascontiguousarray(rows[:, :, :, p : p + w])
 
 
+def _conv2d_input_grad(g, wmat, xshape, k, stride, padding):
+    # wmat^T g, one row tile at a time, each tap's slab added onto the
+    # window of the padded map it was gathered from.
+    n, cout, oh, ow = g.shape
+    g3 = g.reshape(n, cout, oh * ow)
+    if k == 1 and stride == 1:
+        return np.matmul(wmat.T, g3).reshape(xshape)
+    h, w = xshape[2:]
+    p = (k - 1) // 2
+    gxp = np.zeros((*xshape[:2], h + 2 * p, w + 2 * p), dtype=g.dtype)
+    for lo, hi, windows, tile in ops._row_tiles(xshape, k, stride, padding, g.itemsize):
+        cols = np.matmul(wmat.T, g3[:, :, lo * ow : hi * ow]).reshape(tile)
+        for t, window in enumerate(windows):
+            gxp[window] += cols[:, :, t]
+    return _unpad_grad(gxp, p, padding, h, w)
+
+
 def conv2d(x, weight, bias=None, *, stride: int = 1, padding: str = ops.ZERO):
     tape = _tape_of(x, weight, bias)
     y = ops.conv2d(_value(x), _value(weight), _value(bias), stride=stride, padding=padding)
@@ -186,14 +206,14 @@ def conv2d(x, weight, bias=None, *, stride: int = 1, padding: str = ops.ZERO):
         if bv is not None and needed[2]:
             gb = g.sum(axis=(0, 2, 3))
         if needed[1]:
-            patches = ops._im2col(xa, k, stride, padding)[0].reshape(n, wmat.shape[1], oh * ow)
+            glive = np.zeros_like(wmat)
+            for lo, hi, patches in ops._patch_tiles(xa, k, stride, padding):
+                cols_t = patches.reshape(n, wmat.shape[1], (hi - lo) * ow).transpose(0, 2, 1)
+                glive += np.matmul(g3[:, :, lo * ow : hi * ow], cols_t).sum(axis=0)
             gw = np.zeros_like(wa)
-            gw[:, :, rows, cols] = np.matmul(g3, patches.transpose(0, 2, 1)).sum(axis=0).reshape(
-                wlive.shape
-            )
+            gw[:, :, rows, cols] = glive.reshape(wlive.shape)
         if needed[0]:
-            gxp = ops._col2im(np.matmul(wmat.T, g3), xa.shape, k, stride, padding)
-            gx = _unpad_grad(gxp, (k - 1) // 2, padding, *xa.shape[2:])
+            gx = _conv2d_input_grad(g, wmat, xa.shape, k, stride, padding)
         return (gx, gw) if bv is None else (gx, gw, gb)
 
     operands = (xv, wv) if bv is None else (xv, wv, bv)
@@ -312,17 +332,21 @@ def global_avg_pool(x):
 
 def batchnorm2d(x, scale, shift, *, mode="batch", mean=None, var=None, eps=ops.BN_EPS):
     tape = _tape_of(x, scale, shift, mean, var)
-    y = ops.batchnorm2d(
-        _value(x), _value(scale), _value(shift), mode=mode,
-        mean=_value(mean), var=_value(var), eps=eps,
-    )
-    if tape is None:
-        return y
+    if tape is not None and mode == "batch":
+        # One pass for y and the statistics its VJP needs.
+        ya, xhat, inv = ops._batchnorm_batch(*(_value(a).data for a in (x, scale, shift)), eps)
+        y = Tensor._wrap(ya)
+    else:
+        y = ops.batchnorm2d(
+            _value(x), _value(scale), _value(shift), mode=mode,
+            mean=_value(mean), var=_value(var), eps=eps,
+        )
+        if tape is None:
+            return y
     xv, sv, bv = _lift(tape, x), _lift(tape, scale), _lift(tape, shift)
     xa, sa = xv.value.data, sv.value.data
 
     if mode == "batch":
-        _, xhat, inv = ops._batchnorm_batch_raw(xa, sa, bv.value.data, eps)
         m = xa.shape[0] * xa.shape[2] * xa.shape[3]
 
         def vjp(g, needed):

@@ -637,7 +637,8 @@ class _StackedOps:
     @staticmethod
     def conv2d(x, weight, *, stride=1):
         # Zero padding: the patches of the taps that read real pixels,
-        # gathered once, then one matmul per weight value.
+        # gathered once, then one matmul per weight value.  The whole map
+        # at once, not row tiles: _FDLoss.CHUNK_ELEMENTS bounds the input.
         cout, _, k, _ = weight.shape
         patches, rows, cols = ops._im2col(x, k, stride, ops.ZERO)
         n, _, _, oh, ow, P = patches.shape

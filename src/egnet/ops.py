@@ -32,6 +32,13 @@ BN_EPS = 1e-5
 SQRT_EPS = 1e-12
 _GELU_C = math.sqrt(2.0 / math.pi)
 
+# Bytes of patches that a k x k conv2d and its VJPs gather at once: they
+# run over tiles of output rows whose patches fit this budget, so no map
+# needs its whole patch matrix at once (the low-memory GEMM convolution of
+# Cho & Brand, "MEC", arXiv 1706.06873).  4 MB keeps each tile's matmul
+# thousands of columns wide at 512^2.
+TILE_BYTES = 4 << 20
+
 
 def _data(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x)
@@ -96,36 +103,64 @@ def _tap_grid(shape, k: int, stride: int, padding: str):
     return oh, ow, rows, cols, windows
 
 
+def _gather(xp: np.ndarray, windows, out: np.ndarray) -> np.ndarray:
+    # One slice copy per tap into ``out[:, :, t]``: far cheaper than copying
+    # a strided window view.
+    for t, window in enumerate(windows):
+        out[:, :, t] = xp[window]
+    return out
+
+
 def _im2col(x: np.ndarray, k: int, stride: int, padding: str):
     """``(patches, rows, cols)``: ``x`` gathered under the taps of :func:`_tap_grid`.
 
-    ``patches`` is ``(n, c, taps, oh, ow, ...)``, one slice copy per tap
-    (far cheaper than copying a strided window view); for a pointwise
-    kernel at stride 1 it is a view of ``x``.
+    ``patches`` is ``(n, c, taps, oh, ow, ...)``, the whole map at once;
+    for a pointwise kernel at stride 1 it is a view of ``x``.
     """
     oh, ow, rows, cols, windows = _tap_grid(x.shape, k, stride, padding)
     if k == 1 and stride == 1:
         return x[:, :, None], rows, cols
-    xp = _pad2d(x, (k - 1) // 2, padding)
     patches = np.empty((*x.shape[:2], len(windows), oh, ow, *x.shape[4:]), dtype=x.dtype)
-    for t, window in enumerate(windows):
-        patches[:, :, t] = xp[window]
-    return patches, rows, cols
+    return _gather(_pad2d(x, (k - 1) // 2, padding), windows, patches), rows, cols
 
 
-def _col2im(patches: np.ndarray, shape, k: int, stride: int, padding: str) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: adds each tap's slab of ``patches`` onto
-    the window of the padded map it was read from."""
-    if k == 1 and stride == 1:
-        return patches.reshape(shape)
+def _row_tiles(shape, k: int, stride: int, padding: str, itemsize: int):
+    """Output-row tiles of the ``k x k`` gather over a map of ``shape``.
+
+    Yields ``(lo, hi, windows, tile)`` for output rows ``lo:hi``: the
+    windows of :func:`_tap_grid` narrowed to those rows, and the shape
+    ``(n, c, taps, hi - lo, ow, ...)`` of their patches.  A tile holds as
+    many rows as keep its patches within :data:`TILE_BYTES`, and at least
+    one; only the last tile may be shorter.
+    """
     oh, ow, _, _, windows = _tap_grid(shape, k, stride, padding)
-    n, c, h, w, *trail = shape
-    p = (k - 1) // 2
-    patches = patches.reshape(n, c, len(windows), oh, ow, *trail)
-    gxp = np.zeros((n, c, h + 2 * p, w + 2 * p, *trail), dtype=patches.dtype)
-    for t, window in enumerate(windows):
-        gxp[window] += patches[:, :, t]
-    return gxp
+    row = (*shape[:2], len(windows), 1, ow, *shape[4:])
+    step = max(1, TILE_BYTES // max(1, itemsize * math.prod(row)))
+    for lo in range(0, oh, step):
+        hi = min(lo + step, oh)
+        narrowed = [(*win[:2], _span(win[2].start + stride * lo, hi - lo, stride), win[3])
+                    for win in windows]
+        yield lo, hi, narrowed, (*row[:3], hi - lo, *row[4:])
+
+
+def _patch_tiles(x: np.ndarray, k: int, stride: int, padding: str):
+    """Yields ``(lo, hi, patches)``: ``x`` gathered under the taps of
+    :func:`_tap_grid` for output rows ``lo:hi``, one :func:`_row_tiles`
+    tile at a time.
+
+    Every tile's ``patches`` is a contiguous view of one reused buffer,
+    overwritten by the next tile.  For a pointwise kernel at stride 1
+    the one tile is a view of ``x``.
+    """
+    if k == 1 and stride == 1:
+        yield 0, x.shape[2], x[:, :, None]
+        return
+    xp = _pad2d(x, (k - 1) // 2, padding)
+    buf = None
+    for lo, hi, windows, tile in _row_tiles(x.shape, k, stride, padding, x.itemsize):
+        if buf is None:  # the first tile is the largest
+            buf = np.empty(math.prod(tile), dtype=x.dtype)
+        yield lo, hi, _gather(xp, windows, buf[: math.prod(tile)].reshape(tile))
 
 
 def _shifted_sum(x: np.ndarray, kern: np.ndarray, stride: int, padding: str) -> np.ndarray:
@@ -178,13 +213,16 @@ def conv2d(x, weight, bias=None, *, stride: int = 1, padding: str = ZERO) -> Ten
 def _conv2d_raw(xa, wa, ba, stride, padding) -> np.ndarray:
     n = xa.shape[0]
     cout, _, k, _ = wa.shape
-    patches, rows, cols = _im2col(xa, k, stride, padding)
+    oh, ow, rows, cols, _ = _tap_grid(xa.shape, k, stride, padding)
     wmat = wa[:, :, rows, cols].reshape(cout, -1)
-    oh, ow = patches.shape[3:5]
-    y = np.matmul(wmat, patches.reshape(n, wmat.shape[1], oh * ow)).reshape(n, cout, oh, ow)
+    y = np.empty((n, cout, oh, ow), dtype=xa.dtype)
+    y3 = y.reshape(n, cout, oh * ow)
+    for lo, hi, patches in _patch_tiles(xa, k, stride, padding):
+        np.matmul(wmat, patches.reshape(n, wmat.shape[1], (hi - lo) * ow),
+                  out=y3[:, :, lo * ow : hi * ow])
     if ba is not None:
-        y = y + ba[None, :, None, None]
-    return np.ascontiguousarray(y)
+        y += ba[None, :, None, None]
+    return y
 
 
 def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ZERO) -> Tensor:
@@ -368,6 +406,22 @@ def batchnorm2d(
     ``mean``/``var`` arrays.
     """
     xa, sa, ba = _data(x), _data(scale), _data(shift)
+    if mode == "batch":
+        return Tensor._wrap(_batchnorm_batch(xa, sa, ba, eps)[0])
+    _check_norm(xa, sa, ba, mode, eps)
+    if mean is None or var is None:
+        raise ConfigError("running mode requires stored mean and var")
+    c = xa.shape[1]
+    ma, va = _data(mean), _data(var)
+    for name, arr in (("mean", ma), ("var", va)):
+        if arr.shape != (c,):
+            raise DimensionError(f"batchnorm {name} must have shape ({c},), got {arr.shape}", axis="c")
+    _check_same_dtype(xa, sa, ba, ma, va)
+    return Tensor._wrap(_batchnorm_running_raw(xa, sa, ba, ma, va, eps))
+
+
+def _check_norm(xa, sa, ba, mode, eps) -> None:
+    # The checks that both modes of batchnorm2d share.
     if eps <= 0:
         raise ConfigError(f"batchnorm epsilon must be positive, got {eps}")
     if mode not in ("batch", "running"):
@@ -378,24 +432,15 @@ def batchnorm2d(
     for name, arr in (("scale", sa), ("shift", ba)):
         if arr.shape != (c,):
             raise DimensionError(f"batchnorm {name} must have shape ({c},), got {arr.shape}", axis="c")
-    if mode == "batch":
-        if xa.shape[0] * xa.shape[2] * xa.shape[3] == 0:
-            raise DegenerateInputError("batch statistics over zero elements")
-        _check_same_dtype(xa, sa, ba)
-        y, _, _ = _batchnorm_batch_raw(xa, sa, ba, eps)
-        return Tensor._wrap(y)
-    if mean is None or var is None:
-        raise ConfigError("running mode requires stored mean and var")
-    ma, va = _data(mean), _data(var)
-    for name, arr in (("mean", ma), ("var", va)):
-        if arr.shape != (c,):
-            raise DimensionError(f"batchnorm {name} must have shape ({c},), got {arr.shape}", axis="c")
-    _check_same_dtype(xa, sa, ba, ma, va)
-    return Tensor._wrap(_batchnorm_running_raw(xa, sa, ba, ma, va, eps))
 
 
-def _batchnorm_batch_raw(xa, sa, ba, eps):
+def _batchnorm_batch(xa, sa, ba, eps):
+    """Checked batch-statistics norm: ``(y, xhat, inv)``, the last two for its VJP."""
+    _check_norm(xa, sa, ba, "batch", eps)
     m = xa.shape[0] * xa.shape[2] * xa.shape[3]
+    if m == 0:
+        raise DegenerateInputError("batch statistics over zero elements")
+    _check_same_dtype(xa, sa, ba)
     mu = xa.sum(axis=(0, 2, 3)) / m
     d = xa - mu[None, :, None, None]
     var = np.einsum("nchw,nchw->c", d, d) / m

@@ -1,5 +1,7 @@
 """Reverse-mode tape: per-op gradient checks and structural contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,23 @@ class TestBackwardBasics:
         grads = ag.backward(ag.sum_all(ag.mul(av, bv)))
         assert grads["a"] == b and grads["b"] == a
 
+    def test_spent_gradients_are_freed(self):
+        # Every scale VJP returns a new array; the sweep should hold only
+        # the gradients still to be passed on, not one per node.
+        x = np.ones(1 << 20)
+        tape = Tape()
+        v = tape.leaf(Tensor(x), name="x")
+        for _ in range(20):
+            v = ag.scale(v, 1.01)
+        loss = ag.sum_all(v)
+        tracemalloc.start()
+        try:
+            ag.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * x.nbytes
+
     def test_non_scalar_loss_rejected(self, rng):
         tape = Tape()
         xv = tape.leaf(Tensor(rng.normal(size=(1, 1, 2, 2))), name="x")
@@ -141,6 +160,17 @@ class TestPerOpGradients:
         )
         if padding == ops.ZERO:
             assert_dead_taps_zero(grads["w"], hw, stride)
+
+    @pytest.mark.parametrize("k", [3, 7])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [ops.ZERO, ops.REPLICATE])
+    def test_conv2d_row_tiles(self, rng, conv_tiles, k, stride, padding):
+        x = rng.normal(size=(2, 3, 7, 9))
+        conv_tiles(x.shape, k, stride, padding, x.dtype)
+        check_op_grads(
+            lambda v: ag.conv2d(v["x"], v["w"], v["b"], stride=stride, padding=padding),
+            dict(x=x, w=rng.normal(size=(4, 3, k, k)), b=rng.normal(size=4)),
+        )
 
     def test_conv2d_strided_replicate(self, rng):
         check_op_grads(

@@ -1,6 +1,7 @@
 """Forward semantics of the tensor primitives, checked against naive oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,36 @@ class TestDepthwise:
         k = _t(rng.normal(size=(2, 1, 3, 3)))
         with pytest.raises(DimensionError):
             ops.depthwise_conv2d(x, k)
+
+
+class TestConv2dRowTiles:
+    """conv2d over row tiles of its gather (``ops.TILE_BYTES``)."""
+
+    @pytest.mark.parametrize("k", [3, 7])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [ops.ZERO, ops.REPLICATE])
+    def test_tiles_match_loop_oracle(self, rng, conv_tiles, k, stride, padding):
+        for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
+            x = rng.normal(size=(2, 3, 7, 9)).astype(dtype)
+            w = rng.normal(size=(4, 3, k, k)).astype(dtype)
+            b = rng.normal(size=4).astype(dtype)
+            conv_tiles(x.shape, k, stride, padding, dtype)
+            got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
+            ref = conv2d_naive(x, w, b, stride=stride, padding=padding)
+            np.testing.assert_allclose(got.data, ref, rtol=tol, atol=tol)
+
+    def test_stem_conv_never_holds_its_whole_gather(self, rng):
+        # The whole gather of this 7x7 conv at 512^2 would be a
+        # (1, 147, 512^2) float32 array, 154 MB.
+        x = _t(rng.normal(size=(1, 3, 512, 512)))
+        w = _t(rng.normal(size=(3, 3, 7, 7)))
+        tracemalloc.start()
+        try:
+            ops.conv2d(x, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 @pytest.mark.parametrize("shape", [(1, 3, 0, 0), (1, 3, 0, 5)], ids=["0x0", "0x5"])
