@@ -45,40 +45,35 @@ _INITS = ("he_normal", "ones", "zeros", "fixed_kernel")
 
 @dataclass(frozen=True)
 class BackboneConfig:
-    """Variant hyper-parameters; everything downstream derives from these."""
+    """A variant; the paper fixes every other hyper-parameter, so they are constants."""
 
     variant: str
-    width: int
-    blocks: tuple[int, int, int, int] = (1, 4, 4, 2)
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
-    eca_gamma: int = 2
-    eca_beta: int = 1
-    dropout_rate: float = 0.1
+
+    blocks = (1, 4, 4, 2)
+    bn_eps = 1e-5
+    # ECA kernel-size rule of Wang et al., "ECA-Net" (arXiv 1910.03151).
+    eca_gamma = 2
+    eca_beta = 1
+    dropout_rate = 0.1
+    # Edge attention only where the resolution still carries edges.
+    attention_kinds = ("edge", "gauss", "gauss", "gauss")
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected tiny or small")
-        if self.width != VARIANTS[self.variant]:
-            raise ConfigError(
-                f"variant {self.variant!r} has base width {VARIANTS[self.variant]}, got {self.width}"
-            )
 
     @classmethod
     def for_variant(cls, variant: str) -> "BackboneConfig":
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r}; expected tiny or small")
-        return cls(variant=variant, width=VARIANTS[variant])
+        return cls(variant)
+
+    @property
+    def width(self) -> int:
+        return VARIANTS[self.variant]
 
     @property
     def stage_widths(self) -> tuple[int, int, int, int]:
         c = self.width
         return (c, 2 * c, 4 * c, 8 * c)
-
-    @property
-    def attention_kinds(self) -> tuple[str, str, str, str]:
-        # Edge attention only where the resolution still carries edges.
-        return ("edge", "gauss", "gauss", "gauss")
 
 
 @dataclass(frozen=True)
@@ -87,14 +82,15 @@ class Param:
 
     name: str
     value: Tensor
-    frozen: bool
     init: str
 
     def __post_init__(self):
         if self.init not in _INITS:
             raise ConfigError(f"unknown init {self.init!r}")
-        if self.frozen != (self.init == "fixed_kernel"):
-            raise ContractError(f"param {self.name}: frozen flag must mirror fixed_kernel init")
+
+    @property
+    def frozen(self) -> bool:
+        return self.init == "fixed_kernel"
 
     @property
     def is_stat(self) -> bool:
@@ -115,7 +111,7 @@ class Model:
 
     def astype(self, dtype) -> "Model":
         cast = {
-            n: Param(p.name, p.value.astype(dtype), p.frozen, p.init)
+            n: Param(p.name, p.value.astype(dtype), p.init)
             for n, p in self.params.items()
         }
         return Model(self.config, cast)
@@ -130,7 +126,7 @@ class Model:
                 raise DimensionError(
                     f"override for {name} has shape {t.shape}, expected {p.value.shape}"
                 )
-            out[name] = Param(p.name, t, p.frozen, p.init)
+            out[name] = Param(p.name, t, p.init)
         return Model(self.config, out)
 
     def learnable_items(self):
@@ -316,8 +312,7 @@ def build_model(config: BackboneConfig, seed: int = 0) -> Model:
             arr = FIXED_KERNEL_SPECS[name].generate()
         else:
             arr = np.ones(shape) if init == "ones" else np.zeros(shape)
-        frozen = init == "fixed_kernel"
-        params[name] = Param(name, Tensor(np.asarray(arr, dtype=DEFAULT_DTYPE)), frozen, init)
+        params[name] = Param(name, Tensor(np.asarray(arr, dtype=DEFAULT_DTYPE)), init)
     return Model(config, params)
 
 

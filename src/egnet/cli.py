@@ -105,8 +105,7 @@ def _cmd_summary(args) -> int:
     print(
         f"config variant={cfg.variant} width={cfg.width} "
         f"blocks={','.join(str(b) for b in cfg.blocks)} bn_eps={cfg.bn_eps:g} "
-        f"bn_momentum={cfg.bn_momentum:g} eca_gamma={cfg.eca_gamma} "
-        f"eca_beta={cfg.eca_beta} dropout={cfg.dropout_rate:g}"
+        f"eca_gamma={cfg.eca_gamma} eca_beta={cfg.eca_beta} dropout={cfg.dropout_rate:g}"
     )
     print(
         "normalization mean=" + ",".join(f"{m:g}" for m in NORM_MEAN)

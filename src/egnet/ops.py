@@ -207,12 +207,7 @@ def conv2d(x, weight, bias=None, *, stride: int = 1, padding: str = ZERO) -> Ten
         _check_same_dtype(xa, wa)
     else:
         _check_same_dtype(xa, wa, ba)
-    return Tensor._wrap(_conv2d_raw(xa, wa, ba, stride, padding))
-
-
-def _conv2d_raw(xa, wa, ba, stride, padding) -> np.ndarray:
-    n = xa.shape[0]
-    cout, _, k, _ = wa.shape
+    n, cout = xa.shape[0], wa.shape[0]
     oh, ow, rows, cols, _ = _tap_grid(xa.shape, k, stride, padding)
     wmat = wa[:, :, rows, cols].reshape(cout, -1)
     y = np.empty((n, cout, oh, ow), dtype=xa.dtype)
@@ -222,7 +217,7 @@ def _conv2d_raw(xa, wa, ba, stride, padding) -> np.ndarray:
                   out=y3[:, :, lo * ow : hi * ow])
     if ba is not None:
         y += ba[None, :, None, None]
-    return y
+    return Tensor._wrap(y)
 
 
 def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ZERO) -> Tensor:
@@ -417,7 +412,9 @@ def batchnorm2d(
         if arr.shape != (c,):
             raise DimensionError(f"batchnorm {name} must have shape ({c},), got {arr.shape}", axis="c")
     _check_same_dtype(xa, sa, ba, ma, va)
-    return Tensor._wrap(_batchnorm_running_raw(xa, sa, ba, ma, va, eps))
+    inv = 1.0 / np.sqrt(va + eps)
+    y = (xa - ma[None, :, None, None]) * (sa * inv)[None, :, None, None] + ba[None, :, None, None]
+    return Tensor._wrap(np.ascontiguousarray(y))
 
 
 def _check_norm(xa, sa, ba, mode, eps) -> None:
@@ -448,12 +445,6 @@ def _batchnorm_batch(xa, sa, ba, eps):
     xhat = d * inv[None, :, None, None]
     y = xhat * sa[None, :, None, None] + ba[None, :, None, None]
     return np.ascontiguousarray(y), xhat, inv
-
-
-def _batchnorm_running_raw(xa, sa, ba, ma, va, eps):
-    inv = 1.0 / np.sqrt(va + eps)
-    y = (xa - ma[None, :, None, None]) * (sa * inv)[None, :, None, None] + ba[None, :, None, None]
-    return np.ascontiguousarray(y)
 
 
 def gelu(x) -> Tensor:

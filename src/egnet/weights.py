@@ -12,6 +12,8 @@ Layout (all integers little-endian):
 Each entry records ``name``, ``shape``, ``frozen``, ``init``, ``offset``
 (payload-relative) and ``size`` (element count).  Offsets are contiguous
 and in construction order, so save -> load -> save is byte-identical.
+The variant fixes the whole header, so a load rebuilds the header its
+variant implies and requires the file's to equal it.
 A checksum mismatch on load is reported as a warning, not an error: the
 structure is still intact, only the payload bytes differ.
 """
@@ -19,78 +21,75 @@ structure is still intact, only the payload bytes differ.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import warnings
 import zlib
 
 import numpy as np
 
-from .backbone import BackboneConfig, Model, Param, param_specs
+from .backbone import VARIANTS, BackboneConfig, Model, Param, param_specs
 from .errors import WeightFormatError
 from .tensor import Tensor, _atomic_write
 
 MAGIC = b"LEGW"
 VERSION = 1
 _F32 = np.dtype("<f4")
+_ABSENT = object()
 
 
 class ChecksumWarning(UserWarning):
     """Stored checksum does not match the file contents."""
 
 
-def _config_record(cfg: BackboneConfig) -> dict:
-    return {
-        "variant": cfg.variant,
-        "width": cfg.width,
-        "blocks": list(cfg.blocks),
-        "bn_eps": cfg.bn_eps,
-        "bn_momentum": cfg.bn_momentum,
-        "eca_gamma": cfg.eca_gamma,
-        "eca_beta": cfg.eca_beta,
-        "dropout_rate": cfg.dropout_rate,
+def _header(config: BackboneConfig, specs) -> dict:
+    """The JSON header of a file for ``config`` holding ``(name, shape, init)`` specs."""
+    entries, offset = [], 0
+    for name, shape, init in specs:
+        size = math.prod(shape)
+        entries.append({"name": name, "shape": list(shape), "frozen": init == "fixed_kernel",
+                        "init": init, "offset": offset, "size": size})
+        offset += size * 4
+    # The variant fixes every value of the record; bn_momentum is a format
+    # constant that nothing reads.
+    record = {
+        "variant": config.variant,
+        "width": config.width,
+        "blocks": list(config.blocks),
+        "bn_eps": config.bn_eps,
+        "bn_momentum": 0.1,
+        "eca_gamma": config.eca_gamma,
+        "eca_beta": config.eca_beta,
+        "dropout_rate": config.dropout_rate,
     }
+    return {"config": record, "entries": entries}
 
 
-def _config_from_record(rec: dict) -> BackboneConfig:
-    try:
-        return BackboneConfig(
-            variant=rec["variant"],
-            width=int(rec["width"]),
-            blocks=tuple(int(b) for b in rec["blocks"]),
-            bn_eps=float(rec["bn_eps"]),
-            bn_momentum=float(rec["bn_momentum"]),
-            eca_gamma=int(rec["eca_gamma"]),
-            eca_beta=int(rec["eca_beta"]),
-            dropout_rate=float(rec["dropout_rate"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WeightFormatError(f"bad config record: {exc}") from exc
+def _mismatch(header: dict, expected: dict) -> str:
+    """Names the first header key, config key or entry that differs from ``expected``."""
+    for key in sorted(header.keys() ^ expected.keys()):
+        return f"header key {key!r} is {'missing' if key in expected else 'unexpected'}"
+    got, want = header["config"], expected["config"]
+    implies = f"variant {want['variant']} implies"
+    for key in [*want, *got]:
+        if got.get(key, _ABSENT) != want.get(key, _ABSENT):
+            return f"config {key} is {got.get(key)!r}; {implies} {want.get(key)!r}"
+    got, want = header["entries"], expected["entries"]
+    got = got if isinstance(got, list) else []
+    for i, w in enumerate(want):
+        if i >= len(got) or got[i] != w:
+            return f"entry {i} is {got[i] if i < len(got) else None!r}; {implies} {w!r}"
+    return f"{len(got)} entries; {implies} {len(want)}"
 
 
 def save_weights(model: Model, path: str) -> None:
     """Serialize a model; the byte stream is a pure function of its contents."""
-    entries = []
-    chunks = []
-    offset = 0
-    for name, p in model.params.items():
-        arr = p.value.data.astype(_F32, copy=False)
-        entries.append(
-            {
-                "name": name,
-                "shape": list(arr.shape),
-                "frozen": p.frozen,
-                "init": p.init,
-                "offset": offset,
-                "size": int(arr.size),
-            }
-        )
-        chunks.append(arr.tobytes())
-        offset += arr.size * 4
-    header = json.dumps(
-        {"config": _config_record(model.config), "entries": entries},
-        separators=(",", ":"),
-    ).encode("utf-8")
-    body = MAGIC + struct.pack("<HI", VERSION, len(header)) + header + b"".join(chunks)
+    specs = [(name, p.value.shape, p.init) for name, p in model.params.items()]
+    header = json.dumps(_header(model.config, specs), separators=(",", ":")).encode("utf-8")
+    payload = b"".join(
+        p.value.data.astype(_F32, copy=False).tobytes() for p in model.params.values()
+    )
+    body = MAGIC + struct.pack("<HI", VERSION, len(header)) + header + payload
     _atomic_write(path, body + struct.pack("<I", zlib.crc32(body)))
 
 
@@ -98,10 +97,9 @@ def load_weights(path: str, *, on_checksum: str = "warn") -> Model:
     """Read a weight file back into a model.
 
     ``on_checksum`` is one of ``warn`` (default), ``raise``, ``ignore``.
-    Structural damage (bad magic, truncation, malformed table) always
-    raises :class:`WeightFormatError` with the byte offset, and so does an
-    entry table that is not the one the config implies (a missing or
-    unknown name, or a wrong shape, init or frozen flag).
+    Structural damage (bad magic, truncation, a header other than the one
+    the file's variant implies, a payload of the wrong length) always
+    raises :class:`WeightFormatError` with the byte offset.
     """
     if on_checksum not in ("warn", "raise", "ignore"):
         raise ValueError(f"on_checksum must be warn/raise/ignore, got {on_checksum!r}")
@@ -122,71 +120,36 @@ def load_weights(path: str, *, on_checksum: str = "warn") -> Model:
         header = json.loads(blob[header_start:payload_start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WeightFormatError(f"header is not valid JSON: {exc}", offset=header_start) from exc
-    if not isinstance(header, dict) or "config" not in header or "entries" not in header:
-        raise WeightFormatError("header must contain config and entries", offset=header_start)
-
-    cfg = _config_from_record(header["config"])
-    expected = {name: (shape, init) for name, shape, init in param_specs(cfg)}
-    payload = blob[payload_start : len(blob) - 4]
-    params: dict[str, Param] = {}
-    cursor = 0
-    for ent in header["entries"]:
-        try:
-            name = ent["name"]
-            shape = tuple(int(s) for s in ent["shape"])
-            frozen = bool(ent["frozen"])
-            init = ent["init"]
-            offset = int(ent["offset"])
-            size = int(ent["size"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WeightFormatError(f"malformed entry {ent!r}", offset=header_start) from exc
-        if name in params:
-            raise WeightFormatError(f"duplicate entry name {name!r}", offset=header_start)
-        if name not in expected:
-            raise WeightFormatError(
-                f"entry {name!r} is not a parameter of this config", offset=header_start
-            )
-        want_shape, want_init = expected[name]
-        if shape != want_shape:
-            raise WeightFormatError(
-                f"entry {name}: shape {shape}, expected {want_shape}", offset=header_start
-            )
-        if init != want_init or frozen != (want_init == "fixed_kernel"):
-            raise WeightFormatError(
-                f"entry {name}: init {init!r} frozen={frozen}, expected init {want_init!r} "
-                f"frozen={want_init == 'fixed_kernel'}",
-                offset=header_start,
-            )
-        if int(np.prod(shape, dtype=np.int64)) != size:
-            raise WeightFormatError(f"entry {name}: shape {shape} does not match size {size}")
-        if offset != cursor:
-            raise WeightFormatError(
-                f"entry {name}: offset {offset} overlaps or leaves a gap (expected {cursor})"
-            )
-        end = offset + size * 4
-        if end > len(payload):
-            raise WeightFormatError(
-                f"entry {name}: payload out of bounds", offset=payload_start + offset
-            )
-        arr = np.frombuffer(payload, dtype=_F32, count=size, offset=offset).reshape(shape)
-        params[name] = Param(name, Tensor(arr.astype(np.float32)), frozen, init)
-        cursor = end
-    missing = [name for name in expected if name not in params]
-    if missing:
+    record = header.get("config") if isinstance(header, dict) else None
+    variant = record.get("variant") if isinstance(record, dict) else None
+    if not isinstance(variant, str) or variant not in VARIANTS:
         raise WeightFormatError(
-            f"{len(missing)} parameter entries missing, first {missing[0]!r}", offset=header_start
+            f"header has no config record naming a known variant (got {variant!r})",
+            offset=header_start,
         )
-    if cursor != len(payload):
+    config = BackboneConfig(variant)
+    specs = param_specs(config)
+    expected = _header(config, specs)
+    if header != expected:
+        raise WeightFormatError(_mismatch(header, expected), offset=header_start)
+    view = memoryview(blob)
+    payload = view[payload_start:-4]
+    last = expected["entries"][-1]
+    need = last["offset"] + last["size"] * 4
+    if len(payload) != need:
         raise WeightFormatError(
-            f"{len(payload) - cursor} trailing payload bytes not covered by the entry table",
-            offset=payload_start + cursor,
+            f"payload holds {len(payload)} bytes; the entry table needs {need}", offset=payload_start
         )
+    params = {}
+    for (name, shape, init), ent in zip(specs, expected["entries"]):
+        arr = np.frombuffer(payload, dtype=_F32, count=ent["size"], offset=ent["offset"])
+        params[name] = Param(name, Tensor._wrap(arr.reshape(shape).astype(np.float32)), init)
     stored_crc = struct.unpack_from("<I", blob, len(blob) - 4)[0]
-    actual_crc = zlib.crc32(blob[:-4])
+    actual_crc = zlib.crc32(view[:-4])
     if stored_crc != actual_crc:
         msg = f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
         if on_checksum == "raise":
             raise WeightFormatError(msg, offset=len(blob) - 4)
         if on_checksum == "warn":
             warnings.warn(msg, ChecksumWarning, stacklevel=2)
-    return Model(cfg, params)
+    return Model(config, params)

@@ -60,10 +60,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             BackboneConfig.for_variant("base")
 
-    def test_inconsistent_width(self):
-        with pytest.raises(ConfigError):
-            BackboneConfig(variant="tiny", width=64)
-
 
 class TestEcaKernelSize:
     @pytest.mark.parametrize(

@@ -239,7 +239,7 @@ class TestErrorSurface:
             del params["s2.b1.expand"]
         elif defect == "shape":
             params["s1.b1.eca.w"] = Param(
-                "s1.b1.eca.w", Tensor(np.full(5, 0.1, dtype=np.float32)), False, "he_normal"
+                "s1.b1.eca.w", Tensor(np.full(5, 0.1, dtype=np.float32)), "he_normal"
             )
         path = str(tmp_path / "bad.legw")
         save_weights(Model(model.config, params), path)

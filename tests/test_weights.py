@@ -1,11 +1,16 @@
 """Weight-file container: round trips, checksums, structural validation."""
 
+import hashlib
+import json
+import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from egnet.backbone import BackboneConfig, build_model
+from egnet.cli import main
 from egnet.errors import WeightFormatError
 from egnet.weights import ChecksumWarning, load_weights, save_weights
 
@@ -104,3 +109,87 @@ def test_tiny_file_shorter_than_header(tmp_path):
     bad.write_bytes(b"LEGW\x01")
     with pytest.raises(WeightFormatError):
         load_weights(str(bad))
+
+
+def rewrite(path, edit_header=lambda header: None, edit_payload=lambda payload: payload):
+    # Edits the parsed header in place and/or replaces the payload, keeping
+    # the header length and checksum valid so that only the edit can fail
+    # the load.
+    blob = open(path, "rb").read()
+    header_len = struct.unpack_from("<I", blob, 6)[0]
+    header = json.loads(blob[10 : 10 + header_len])
+    edit_header(header)
+    table = json.dumps(header, separators=(",", ":")).encode()
+    payload = edit_payload(blob[10 + header_len : -4])
+    body = blob[:6] + struct.pack("<I", len(table)) + table + payload
+    with open(path, "wb") as fh:
+        fh.write(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def set_config(**fields):
+    return lambda header: header["config"].update(fields)
+
+
+# edit of the header -> a word the error message must contain
+MALFORMED = {
+    "eca_gamma-0": (set_config(eca_gamma=0), "eca_gamma"),
+    "blocks-three": (set_config(blocks=[1, 4, 4]), "blocks"),
+    "bn_eps-negative": (set_config(bn_eps=-1), "bn_eps"),
+    "dropout-2": (set_config(dropout_rate=2.0), "dropout_rate"),
+    "bn_momentum-nan": (set_config(bn_momentum=float("nan")), "bn_momentum"),
+    "blocks-string": (set_config(blocks="1442"), "blocks"),
+    "variant-base": (set_config(variant="base"), "variant"),
+    "variant-list": (set_config(variant=["tiny"]), "variant"),
+    "config-not-dict": (lambda header: header.update(config=["tiny"]), "variant"),
+    "extra-header-key": (lambda header: header.update(comment="x"), "comment"),
+}
+
+
+@pytest.mark.parametrize("edit,needle", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_record_is_one_error_line(edit, needle, model, tmp_path, capsys):
+    path = str(tmp_path / "m.legw")
+    save_weights(model, path)
+    rewrite(path, edit)
+    with pytest.raises(WeightFormatError, match=needle):
+        load_weights(path, on_checksum="raise")
+    rc = main(["summary", "--weights", path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert re.fullmatch(r'error category=weights message="[^"\n]*"\n', captured.err)
+    assert captured.out == ""
+
+
+def test_mismatch_names_the_first_differing_entry(model, tmp_path):
+    path = str(tmp_path / "m.legw")
+    save_weights(model, path)
+    rewrite(path, lambda header: header["entries"][7].update(offset=0))
+    with pytest.raises(WeightFormatError) as err:
+        load_weights(path)
+    assert re.match(r"entry 7 is .*'stem.an_log.norm.scale'.*'offset': 0,", str(err.value))
+
+
+@pytest.mark.parametrize(
+    "edit", [lambda payload: payload[:-4], lambda payload: payload + bytes(4)], ids=["short", "long"]
+)
+def test_payload_must_have_the_length_the_table_implies(edit, model, tmp_path):
+    path = str(tmp_path / "m.legw")
+    save_weights(model, path)
+    rewrite(path, edit_payload=edit)
+    with pytest.raises(WeightFormatError, match="payload"):
+        load_weights(path)
+
+
+# sha256 of the JSON header that version-1 files of each variant carry.
+HEADER_SHA256 = {
+    "tiny": "52c7bed86b985d114ee378ebb23adb0df38fec3f0135034ad86643a3ad64ce43",
+    "small": "64b3efdc6783ae3d955f8a606a358787d16203f430a3dae83336c6e001497a51",
+}
+
+
+@pytest.mark.parametrize("variant", HEADER_SHA256)
+def test_header_bytes_are_pinned(variant, tmp_path):
+    path = str(tmp_path / "m.legw")
+    save_weights(build_model(BackboneConfig.for_variant(variant), seed=0), path)
+    blob = open(path, "rb").read()
+    header_len = struct.unpack_from("<I", blob, 6)[0]
+    assert hashlib.sha256(blob[10 : 10 + header_len]).hexdigest() == HEADER_SHA256[variant]
