@@ -186,13 +186,12 @@ def _conv2d_input_grad(g, wmat, xshape, k, stride, padding):
     return _unpad_grad(gxp, p, padding, h, w)
 
 
-def conv2d(x, weight, bias=None, *, stride: int = 1, padding: str = ops.ZERO):
-    tape = _tape_of(x, weight, bias)
-    y = ops.conv2d(_value(x), _value(weight), _value(bias), stride=stride, padding=padding)
+def conv2d(x, weight, *, stride: int = 1, padding: str = ops.ZERO):
+    tape = _tape_of(x, weight)
+    y = ops.conv2d(_value(x), _value(weight), stride=stride, padding=padding)
     if tape is None:
         return y
     xv, wv = _lift(tape, x), _lift(tape, weight)
-    bv = None if bias is None else _lift(tape, bias)
     xa, wa = xv.value.data, wv.value.data
     cout, _, k, _ = wa.shape
     _, _, rows, cols, _ = ops._tap_grid(xa.shape, k, stride, padding)
@@ -202,9 +201,7 @@ def conv2d(x, weight, bias=None, *, stride: int = 1, padding: str = ops.ZERO):
     def vjp(g, needed):
         n, _, oh, ow = g.shape
         g3 = g.reshape(n, cout, oh * ow)
-        gx = gw = gb = None
-        if bv is not None and needed[2]:
-            gb = g.sum(axis=(0, 2, 3))
+        gx = gw = None
         if needed[1]:
             glive = np.zeros_like(wmat)
             for lo, hi, patches in ops._patch_tiles(xa, k, stride, padding):
@@ -214,10 +211,9 @@ def conv2d(x, weight, bias=None, *, stride: int = 1, padding: str = ops.ZERO):
             gw[:, :, rows, cols] = glive.reshape(wlive.shape)
         if needed[0]:
             gx = _conv2d_input_grad(g, wmat, xa.shape, k, stride, padding)
-        return (gx, gw) if bv is None else (gx, gw, gb)
+        return gx, gw
 
-    operands = (xv, wv) if bv is None else (xv, wv, bv)
-    return tape._record("conv2d", y, operands, vjp)
+    return tape._record("conv2d", y, (xv, wv), vjp)
 
 
 def _depthwise_input_grad(g, ka, xshape, stride, padding):
@@ -248,12 +244,13 @@ def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ops.ZERO):
     def vjp(g, needed):
         gx = gk = None
         if needed[1]:
-            patches, rows, cols = ops._im2col(xa, k, stride, padding)
-            per_tap = np.einsum("nctij,ncij->ct", patches, g)
+            _, _, rows, cols, windows = ops._tap_grid(xa.shape, k, stride, padding)
+            per_tap = np.zeros((xa.shape[1], len(windows)), dtype=g.dtype)
+            for lo, hi, patches in ops._patch_tiles(xa, k, stride, padding):
+                per_tap += np.einsum("nctij,ncij->ct", patches, g[:, :, lo:hi])
             gk = np.zeros_like(ka)
-            gk[..., rows, cols] = (per_tap if ka.ndim == 4 else per_tap.sum(axis=0)).reshape(
-                gk[..., rows, cols].shape
-            )
+            live = gk[..., rows, cols]
+            live[...] = (per_tap if ka.ndim == 4 else per_tap.sum(axis=0)).reshape(live.shape)
         if needed[0]:
             gx = _depthwise_input_grad(g, ka, xa.shape, stride, padding)
         return gx, gk
@@ -268,22 +265,17 @@ def conv1d_channels(v, weight):
         return y
     vv, wv = _lift(tape, v), _lift(tape, weight)
     va, wa = vv.value.data, wv.value.data
-    squeeze = va.ndim == 1
-    v2 = va[None, :] if squeeze else va
     k = wa.shape[0]
     p = k // 2
 
     def vjp(g, needed):
-        g2 = g[None, :] if squeeze else g
         gv = gw = None
         if needed[0]:
             # The flipped kernel's correlation, as for depthwise_conv2d.
-            gv = ops._conv1d_raw(g2, wa[::-1])
-            if squeeze:
-                gv = gv[0]
+            gv = ops._conv1d_raw(g, wa[::-1])
         if needed[1]:
-            vp = np.pad(v2, ((0, 0), (p, p)))
-            gw = np.einsum("nck,nc->k", sliding_window_view(vp, k, axis=1), g2)
+            vp = np.pad(va, ((0, 0), (p, p)))
+            gw = np.einsum("nck,nc->k", sliding_window_view(vp, k, axis=1), g)
         return gv, gw
 
     return tape._record("conv1d_channels", y, (vv, wv), vjp)
@@ -330,16 +322,16 @@ def global_avg_pool(x):
     return tape._record("global_avg_pool", y, (xv,), vjp)
 
 
-def batchnorm2d(x, scale, shift, *, mode="batch", mean=None, var=None, eps=ops.BN_EPS):
+def batchnorm2d(x, scale, shift, *, mode="batch", mean=None, var=None):
     tape = _tape_of(x, scale, shift, mean, var)
     if tape is not None and mode == "batch":
         # One pass for y and the statistics its VJP needs.
-        ya, xhat, inv = ops._batchnorm_batch(*(_value(a).data for a in (x, scale, shift)), eps)
+        ya, xhat, inv = ops._batchnorm_batch(*(_value(a).data for a in (x, scale, shift)))
         y = Tensor._wrap(ya)
     else:
         y = ops.batchnorm2d(
             _value(x), _value(scale), _value(shift), mode=mode,
-            mean=_value(mean), var=_value(var), eps=eps,
+            mean=_value(mean), var=_value(var),
         )
         if tape is None:
             return y
@@ -366,7 +358,7 @@ def batchnorm2d(x, scale, shift, *, mode="batch", mean=None, var=None, eps=ops.B
 
     mv, vv = _lift(tape, mean), _lift(tape, var)
     ma, va = mv.value.data, vv.value.data
-    inv = 1.0 / np.sqrt(va + eps)
+    inv = 1.0 / np.sqrt(va + ops.BN_EPS)
     xhat = (xa - ma[None, :, None, None]) * inv[None, :, None, None]
 
     def vjp(g, needed):
@@ -463,9 +455,9 @@ def scale_channels(x, gates):
     return tape._record("scale_channels", y, (xv, gv), vjp)
 
 
-def sqrt_eps(x, eps: float = ops.SQRT_EPS):
+def sqrt_eps(x):
     tape = _tape_of(x)
-    y = ops.sqrt_eps(_value(x), eps)
+    y = ops.sqrt_eps(_value(x))
     if tape is None:
         return y
     xv = _lift(tape, x)

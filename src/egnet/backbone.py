@@ -50,7 +50,7 @@ class BackboneConfig:
     variant: str
 
     blocks = (1, 4, 4, 2)
-    bn_eps = 1e-5
+    bn_eps = ops.BN_EPS
     # ECA kernel-size rule of Wang et al., "ECA-Net" (arXiv 1910.03151).
     eca_gamma = 2
     eca_beta = 1
@@ -106,9 +106,6 @@ class Model:
         self.config = config
         self.params = params
 
-    def __getitem__(self, name: str) -> Param:
-        return self.params[name]
-
     def astype(self, dtype) -> "Model":
         cast = {
             n: Param(p.name, p.value.astype(dtype), p.init)
@@ -144,8 +141,6 @@ class FeaturePyramid:
 
     levels: tuple
 
-    STRIDES = (4, 8, 16, 32)
-
     def __post_init__(self):
         if len(self.levels) != 4:
             raise ContractError(f"feature pyramid needs exactly 4 levels, got {len(self.levels)}")
@@ -161,6 +156,8 @@ class Mode:
     def __init__(self, stats: str = "running", dropout_seed: int | None = None):
         if stats not in ("running", "batch"):
             raise ConfigError(f"mode stats must be 'running' or 'batch', got {stats!r}")
+        if dropout_seed is not None and dropout_seed < 0:
+            raise ConfigError(f"dropout seed must be non-negative, got {dropout_seed}")
         self.stats = stats
         self.dropout_seed = dropout_seed
 
@@ -298,6 +295,8 @@ def build_model(config: BackboneConfig, seed: int = 0) -> Model:
     the model bytes.  Norm layers start as identity (scale 1, shift 0,
     running mean 0, var 1).  Fixed classical kernels are frozen.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     params: dict[str, Param] = {}
     for name, shape, init in param_specs(config):
@@ -344,13 +343,11 @@ def _peek(x) -> Tensor:
 def _norm(x, pview, prefix, cfg, mode):
     if mode.stats == "batch":
         return pview.ops.batchnorm2d(
-            x, pview(prefix + ".scale"), pview(prefix + ".shift"),
-            mode="batch", eps=cfg.bn_eps,
+            x, pview(prefix + ".scale"), pview(prefix + ".shift"), mode="batch"
         )
     return pview.ops.batchnorm2d(
         x, pview(prefix + ".scale"), pview(prefix + ".shift"),
         mode="running", mean=pview(prefix + ".mean"), var=pview(prefix + ".var"),
-        eps=cfg.bn_eps,
     )
 
 
@@ -622,28 +619,16 @@ class _StackedOps:
         return x * ops._dropout_mask(x.shape[:4], rate, rng, x.dtype)[..., None]
 
     @staticmethod
-    def batchnorm2d(x, scale, shift, *, mode, eps):
+    def batchnorm2d(x, scale, shift, *, mode):
         m = x.shape[0] * x.shape[2] * x.shape[3]
         d = x - x.sum(axis=(0, 2, 3), keepdims=True) / m
-        inv = 1.0 / np.sqrt(np.square(d).sum(axis=(0, 2, 3), keepdims=True) / m + eps)
+        inv = 1.0 / np.sqrt(np.square(d).sum(axis=(0, 2, 3), keepdims=True) / m + ops.BN_EPS)
         y = _each(scale, lambda s: d * (inv * s[:, None, None, None]))
         return _each(shift, lambda b: y + b[:, None, None, None])
 
     @staticmethod
     def conv2d(x, weight, *, stride=1):
-        # Zero padding: the patches of the taps that read real pixels,
-        # gathered once, then one matmul per weight value.  The whole map
-        # at once, not row tiles: _FDLoss.CHUNK_ELEMENTS bounds the input.
-        cout, _, k, _ = weight.shape
-        patches, rows, cols = ops._im2col(x, k, stride, ops.ZERO)
-        n, _, _, oh, ow, P = patches.shape
-        patches = patches.reshape(n, -1, oh * ow * P)
-        return _each(
-            weight,
-            lambda wt: np.matmul(wt[:, :, rows, cols].reshape(cout, -1), patches).reshape(
-                n, cout, oh, ow, P
-            ),
-        )
+        return _each(weight, lambda w: ops._conv2d_raw(x, w, stride, ops.ZERO))
 
     def depthwise_conv2d(self, x, kernel, *, padding=ops.ZERO):
         if len(kernel.shape) == 4:

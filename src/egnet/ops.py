@@ -32,11 +32,11 @@ BN_EPS = 1e-5
 SQRT_EPS = 1e-12
 _GELU_C = math.sqrt(2.0 / math.pi)
 
-# Bytes of patches that a k x k conv2d and its VJPs gather at once: they
-# run over tiles of output rows whose patches fit this budget, so no map
-# needs its whole patch matrix at once (the low-memory GEMM convolution of
-# Cho & Brand, "MEC", arXiv 1706.06873).  4 MB keeps each tile's matmul
-# thousands of columns wide at 512^2.
+# Bytes of patches that a k x k conv2d, its VJPs and the depthwise kernel
+# VJP gather at once: they run over tiles of output rows whose patches fit
+# this budget, so no map needs its whole patch matrix at once (the
+# low-memory GEMM convolution of Cho & Brand, "MEC", arXiv 1706.06873).
+# 4 MB keeps each tile's matmul thousands of columns wide at 512^2.
 TILE_BYTES = 4 << 20
 
 
@@ -103,27 +103,6 @@ def _tap_grid(shape, k: int, stride: int, padding: str):
     return oh, ow, rows, cols, windows
 
 
-def _gather(xp: np.ndarray, windows, out: np.ndarray) -> np.ndarray:
-    # One slice copy per tap into ``out[:, :, t]``: far cheaper than copying
-    # a strided window view.
-    for t, window in enumerate(windows):
-        out[:, :, t] = xp[window]
-    return out
-
-
-def _im2col(x: np.ndarray, k: int, stride: int, padding: str):
-    """``(patches, rows, cols)``: ``x`` gathered under the taps of :func:`_tap_grid`.
-
-    ``patches`` is ``(n, c, taps, oh, ow, ...)``, the whole map at once;
-    for a pointwise kernel at stride 1 it is a view of ``x``.
-    """
-    oh, ow, rows, cols, windows = _tap_grid(x.shape, k, stride, padding)
-    if k == 1 and stride == 1:
-        return x[:, :, None], rows, cols
-    patches = np.empty((*x.shape[:2], len(windows), oh, ow, *x.shape[4:]), dtype=x.dtype)
-    return _gather(_pad2d(x, (k - 1) // 2, padding), windows, patches), rows, cols
-
-
 def _row_tiles(shape, k: int, stride: int, padding: str, itemsize: int):
     """Output-row tiles of the ``k x k`` gather over a map of ``shape``.
 
@@ -160,7 +139,11 @@ def _patch_tiles(x: np.ndarray, k: int, stride: int, padding: str):
     for lo, hi, windows, tile in _row_tiles(x.shape, k, stride, padding, x.itemsize):
         if buf is None:  # the first tile is the largest
             buf = np.empty(math.prod(tile), dtype=x.dtype)
-        yield lo, hi, _gather(xp, windows, buf[: math.prod(tile)].reshape(tile))
+        patches = buf[: math.prod(tile)].reshape(tile)
+        # One slice copy per tap: far cheaper than copying a strided window view.
+        for t, window in enumerate(windows):
+            patches[:, :, t] = xp[window]
+        yield lo, hi, patches
 
 
 def _shifted_sum(x: np.ndarray, kern: np.ndarray, stride: int, padding: str) -> np.ndarray:
@@ -177,10 +160,9 @@ def _shifted_sum(x: np.ndarray, kern: np.ndarray, stride: int, padding: str) -> 
     return y
 
 
-def conv2d(x, weight, bias=None, *, stride: int = 1, padding: str = ZERO) -> Tensor:
+def conv2d(x, weight, *, stride: int = 1, padding: str = ZERO) -> Tensor:
     """Standard 2-D convolution, ``(n,c_in,h,w) -> (n,c_out,h',w')``."""
     xa, wa = _data(x), _data(weight)
-    ba = None if bias is None else _data(bias)
     _check_padding(padding)
     if xa.ndim != 4:
         raise DimensionError(f"conv2d input must be rank-4 NCHW, got rank {xa.ndim}", axis="n")
@@ -199,25 +181,26 @@ def conv2d(x, weight, bias=None, *, stride: int = 1, padding: str = ZERO) -> Ten
             f"weight expects {wa.shape[1]}",
             axis="c",
         )
-    if ba is not None and ba.shape != (wa.shape[0],):
-        raise DimensionError(
-            f"conv2d bias must have shape ({wa.shape[0]},), got {ba.shape}", axis="c"
-        )
-    if ba is None:
-        _check_same_dtype(xa, wa)
-    else:
-        _check_same_dtype(xa, wa, ba)
-    n, cout = xa.shape[0], wa.shape[0]
+    _check_same_dtype(xa, wa)
+    return Tensor._wrap(_conv2d_raw(xa, wa, stride, padding))
+
+
+def _conv2d_raw(xa, wa, stride, padding) -> np.ndarray:
+    # One matmul per row tile of the gather.  Trailing axes (the probe
+    # axis of gradcheck's stacked arrays) ride along: an output row holds
+    # ``ow * prod(shape[4:])`` columns.  Sizes are explicit because an
+    # empty map makes a -1 ambiguous.
+    n, cout, k = xa.shape[0], wa.shape[0], wa.shape[2]
     oh, ow, rows, cols, _ = _tap_grid(xa.shape, k, stride, padding)
-    wmat = wa[:, :, rows, cols].reshape(cout, -1)
-    y = np.empty((n, cout, oh, ow), dtype=xa.dtype)
-    y3 = y.reshape(n, cout, oh * ow)
+    wlive = wa[:, :, rows, cols]
+    wmat = wlive.reshape(cout, math.prod(wlive.shape[1:]))
+    row = ow * math.prod(xa.shape[4:])
+    y = np.empty((n, cout, oh, ow, *xa.shape[4:]), dtype=xa.dtype)
+    y3 = y.reshape(n, cout, oh * row)
     for lo, hi, patches in _patch_tiles(xa, k, stride, padding):
-        np.matmul(wmat, patches.reshape(n, wmat.shape[1], (hi - lo) * ow),
-                  out=y3[:, :, lo * ow : hi * ow])
-    if ba is not None:
-        y += ba[None, :, None, None]
-    return Tensor._wrap(y)
+        np.matmul(wmat, patches.reshape(n, wmat.shape[1], (hi - lo) * row),
+                  out=y3[:, :, lo * row : hi * row])
+    return y
 
 
 def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ZERO) -> Tensor:
@@ -304,10 +287,10 @@ def _depthwise_raw(xa, ka, stride, padding) -> np.ndarray:
 def conv1d_channels(v, weight) -> Tensor:
     """1-D convolution along the channel axis with zero padding.
 
-    ``v`` is a channel descriptor vector ``(c,)`` or a batch of them
-    ``(n, c)``; ``weight`` is ``(k,)`` with odd ``k <= c``.  Output keeps
-    the input shape: ``out[i] = sum_j weight[j] * v[i + j - k//2]`` with
-    out-of-range terms treated as zero.
+    ``v`` is a batch of channel descriptor vectors ``(n, c)``; ``weight``
+    is ``(k,)`` with odd ``k <= c``.  Output keeps the input shape:
+    ``out[:, i] = sum_j weight[j] * v[:, i + j - k//2]`` with out-of-range
+    terms treated as zero.
     """
     va, wa = _data(v), _data(weight)
     if wa.ndim != 1:
@@ -315,18 +298,14 @@ def conv1d_channels(v, weight) -> Tensor:
     k = wa.shape[0]
     if k % 2 == 0:
         raise ConfigError(f"conv1d kernel size must be odd, got {k}")
-    squeeze = va.ndim == 1
-    if squeeze:
-        va = va[None, :]
     if va.ndim != 2:
-        raise DimensionError(f"conv1d input must be (c,) or (n, c), got rank {va.ndim}", axis="c")
+        raise DimensionError(f"conv1d input must be (n, c), got rank {va.ndim}", axis="c")
     if k > va.shape[1]:
         raise DimensionError(
             f"conv1d kernel size {k} exceeds channel count {va.shape[1]}", axis="c"
         )
     _check_same_dtype(va, wa)
-    y = _conv1d_raw(va, wa)
-    return Tensor._wrap(y[0] if squeeze else y)
+    return Tensor._wrap(_conv1d_raw(va, wa))
 
 
 def _conv1d_raw(va, wa) -> np.ndarray:
@@ -384,26 +363,17 @@ def _gap_raw(xa) -> np.ndarray:
     return np.ascontiguousarray(xa.mean(axis=(2, 3)))
 
 
-def batchnorm2d(
-    x,
-    scale,
-    shift,
-    *,
-    mode: str = "batch",
-    mean=None,
-    var=None,
-    eps: float = BN_EPS,
-) -> Tensor:
+def batchnorm2d(x, scale, shift, *, mode: str = "batch", mean=None, var=None) -> Tensor:
     """Per-channel normalization followed by an affine transform.
 
     ``mode="batch"`` normalizes with statistics of the current tensor
     (over n, h, w); ``mode="running"`` uses the provided stored
-    ``mean``/``var`` arrays.
+    ``mean``/``var`` arrays.  Both add :data:`BN_EPS` to the variance.
     """
     xa, sa, ba = _data(x), _data(scale), _data(shift)
     if mode == "batch":
-        return Tensor._wrap(_batchnorm_batch(xa, sa, ba, eps)[0])
-    _check_norm(xa, sa, ba, mode, eps)
+        return Tensor._wrap(_batchnorm_batch(xa, sa, ba)[0])
+    _check_norm(xa, sa, ba, mode)
     if mean is None or var is None:
         raise ConfigError("running mode requires stored mean and var")
     c = xa.shape[1]
@@ -412,15 +382,13 @@ def batchnorm2d(
         if arr.shape != (c,):
             raise DimensionError(f"batchnorm {name} must have shape ({c},), got {arr.shape}", axis="c")
     _check_same_dtype(xa, sa, ba, ma, va)
-    inv = 1.0 / np.sqrt(va + eps)
+    inv = 1.0 / np.sqrt(va + BN_EPS)
     y = (xa - ma[None, :, None, None]) * (sa * inv)[None, :, None, None] + ba[None, :, None, None]
     return Tensor._wrap(np.ascontiguousarray(y))
 
 
-def _check_norm(xa, sa, ba, mode, eps) -> None:
+def _check_norm(xa, sa, ba, mode) -> None:
     # The checks that both modes of batchnorm2d share.
-    if eps <= 0:
-        raise ConfigError(f"batchnorm epsilon must be positive, got {eps}")
     if mode not in ("batch", "running"):
         raise ConfigError(f"batchnorm mode must be 'batch' or 'running', got {mode!r}")
     if xa.ndim != 4:
@@ -431,9 +399,9 @@ def _check_norm(xa, sa, ba, mode, eps) -> None:
             raise DimensionError(f"batchnorm {name} must have shape ({c},), got {arr.shape}", axis="c")
 
 
-def _batchnorm_batch(xa, sa, ba, eps):
+def _batchnorm_batch(xa, sa, ba):
     """Checked batch-statistics norm: ``(y, xhat, inv)``, the last two for its VJP."""
-    _check_norm(xa, sa, ba, "batch", eps)
+    _check_norm(xa, sa, ba, "batch")
     m = xa.shape[0] * xa.shape[2] * xa.shape[3]
     if m == 0:
         raise DegenerateInputError("batch statistics over zero elements")
@@ -441,7 +409,7 @@ def _batchnorm_batch(xa, sa, ba, eps):
     mu = xa.sum(axis=(0, 2, 3)) / m
     d = xa - mu[None, :, None, None]
     var = np.einsum("nchw,nchw->c", d, d) / m
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = d * inv[None, :, None, None]
     y = xhat * sa[None, :, None, None] + ba[None, :, None, None]
     return np.ascontiguousarray(y), xhat, inv
@@ -516,15 +484,13 @@ def scale_channels(x, gates) -> Tensor:
     return Tensor._wrap(xa * ga[:, :, None, None])
 
 
-def sqrt_eps(x, eps: float = SQRT_EPS) -> Tensor:
-    """Guarded square root ``sqrt(x + eps)``, defined and smooth at x = 0."""
+def sqrt_eps(x) -> Tensor:
+    """Guarded square root ``sqrt(x + SQRT_EPS)``, defined and smooth at x = 0."""
     xa = _data(x)
-    if eps <= 0:
-        raise ConfigError(f"sqrt_eps epsilon must be positive, got {eps}")
     lo = float(xa.min()) if xa.size else 0.0
-    if lo < -eps:
-        raise DomainError(f"sqrt_eps input {lo} below -eps ({-eps})")
-    return Tensor._wrap(np.sqrt(xa + eps))
+    if lo < -SQRT_EPS:
+        raise DomainError(f"sqrt_eps input {lo} below -eps ({-SQRT_EPS})")
+    return Tensor._wrap(np.sqrt(xa + SQRT_EPS))
 
 
 def dropout(x, rate: float, *, training: bool, rng=None) -> Tensor:

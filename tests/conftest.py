@@ -13,8 +13,9 @@ def rng():
 
 @pytest.fixture(params=["one-row", "ragged"])
 def conv_tiles(request, monkeypatch):
-    """Shrinks ``ops.TILE_BYTES`` for one conv2d shape.
+    """Shrinks ``ops.TILE_BYTES`` for one conv2d or depthwise shape.
 
+    Both gather their patches in the row tiles of ``ops._row_tiles``.
     Returns ``tile(shape, k, stride, padding, dtype)``, which sets the
     budget so that the conv's row tiles are one output row high
     ("one-row"), or three rows high with a shorter last tile ("ragged",

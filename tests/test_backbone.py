@@ -195,8 +195,7 @@ class TestConvBlock:
 
         def bn(t, norm):
             return ops.batchnorm2d(
-                t, P[f"{pre}.{norm}.scale"], P[f"{pre}.{norm}.shift"],
-                mode="batch", eps=cfg.bn_eps,
+                t, P[f"{pre}.{norm}.scale"], P[f"{pre}.{norm}.shift"], mode="batch"
             )
 
         t = ops.conv2d(x, P[pre + ".c1"])
@@ -273,7 +272,7 @@ class TestLegModule:
         got = leg_module_forward(x, 1, ParamView(m), "s1.b1", m.config, mode)
         expected = ops.batchnorm2d(
             x, m.params["s1.b1.leg.norm.scale"].value, m.params["s1.b1.leg.norm.shift"].value,
-            mode="batch", eps=m.config.bn_eps,
+            mode="batch",
         )
         np.testing.assert_array_equal(got.data, expected.data)
 
@@ -318,7 +317,7 @@ class TestLegBlock:
 
         def bn(t, prefix):
             return ops.batchnorm2d(
-                t, P[prefix + ".scale"], P[prefix + ".shift"], mode="batch", eps=cfg.bn_eps
+                t, P[prefix + ".scale"], P[prefix + ".shift"], mode="batch"
             )
 
         # LEG module
@@ -511,6 +510,25 @@ class TestBatchedProbes:
             np.testing.assert_allclose(batched, single, rtol=1e-9, err_msg=name)
             plain = self.plain_loss(m64, x, mode, name, values[0])
             assert np.isclose(single[0], plain, rtol=1e-9), name
+
+    @pytest.mark.parametrize("name", ["stem.conv7", "s2.drfd.conv3", "s2.b3.expand"])
+    def test_stacked_conv2d_row_tiles(self, rng, monkeypatch, name):
+        # One output row per tile: every k x k conv2d on a map more than
+        # one row high runs several tiles, stacked probes (P > 1) after the
+        # probed consumer.
+        from egnet.backbone import _FDLoss
+
+        monkeypatch.setattr(ops, "TILE_BYTES", 1)
+        m64 = tiny(seed=3).astype(np.float64)
+        x = Tensor(rng.normal(size=(2, 3, 32, 32)))
+        mode = Mode(stats="batch", dropout_seed=4)
+        fd = _FDLoss(m64, x, mode)
+        fd.CHUNK_ELEMENTS = 5 * fd._inputs[fd._seg_of[name]].size
+        values = self.probe_values(m64.params[name].value.data, rng, 7)
+        batched = fd.losses(name, iter(values))
+        single = np.array([fd.loss({name: v}) for v in values])
+        np.testing.assert_allclose(batched, single, rtol=1e-9)
+        assert np.isclose(single[0], self.plain_loss(m64, x, mode, name, values[0]), rtol=1e-9)
 
     def test_reused_buffer_probes(self, rng):
         # finite_diff_check hands over one buffer, mutated between draws

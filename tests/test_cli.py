@@ -188,6 +188,18 @@ class TestErrorSurface:
         assert rc == 1
         assert re.fullmatch(r'error category=shape message="[^"\n]*"\n', capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["init", "summary", "gradcheck"])
+    def test_negative_seed_is_one_error_line(self, command, tmp_path, capsys):
+        args = [command, "--variant", "tiny", "--seed", "-1"]
+        if command == "init":
+            args += ["--out", str(tmp_path / "m.legw")]
+        rc = main(args)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert re.fullmatch(r'error category=config message="[^"\n]*"\n', captured.err)
+        assert captured.out == ""
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "args, category",
         [(["--size", "0"], "shape"), (["--size", "-32"], "shape"),

@@ -67,16 +67,6 @@ class TestConv2d:
             wk = _t(rng.normal(size=(4, 2, k, k)))
             assert ops.conv2d(_t(np.zeros(shape)), wk, stride=stride).shape == out
 
-    def test_bias(self, rng):
-        x = _t(rng.normal(size=(1, 2, 4, 4)))
-        w = _t(rng.normal(size=(3, 2, 1, 1)))
-        b = _t(np.array([1.0, -2.0, 0.5]))
-        y0 = ops.conv2d(x, w)
-        y1 = ops.conv2d(x, w, bias=b)
-        np.testing.assert_allclose(
-            y1.data, y0.data + b.data[None, :, None, None], rtol=1e-6
-        )
-
     def test_linearity(self, rng):
         x = _t(rng.normal(size=(1, 3, 6, 6)))
         y = _t(rng.normal(size=(1, 3, 6, 6)))
@@ -154,10 +144,9 @@ class TestConv2dRowTiles:
         for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
             x = rng.normal(size=(2, 3, 7, 9)).astype(dtype)
             w = rng.normal(size=(4, 3, k, k)).astype(dtype)
-            b = rng.normal(size=4).astype(dtype)
             conv_tiles(x.shape, k, stride, padding, dtype)
-            got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
-            ref = conv2d_naive(x, w, b, stride=stride, padding=padding)
+            got = ops.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+            ref = conv2d_naive(x, w, stride=stride, padding=padding)
             np.testing.assert_allclose(got.data, ref, rtol=tol, atol=tol)
 
     def test_stem_conv_never_holds_its_whole_gather(self, rng):
@@ -252,10 +241,10 @@ class TestConv1dChannels:
         np.testing.assert_array_equal(y.data, v.data)
 
     def test_unit_impulse(self):
-        v = _t([1.0, 0.0, 0.0, 0.0])
+        v = _t([[1.0, 0.0, 0.0, 0.0]])
         a, b, c = 0.3, -1.2, 2.5
         y = ops.conv1d_channels(v, _t([a, b, c]))
-        np.testing.assert_allclose(y.data, np.array([b, a, 0.0, 0.0], dtype=np.float32), rtol=1e-6)
+        np.testing.assert_allclose(y.data, np.array([[b, a, 0.0, 0.0]], dtype=np.float32), rtol=1e-6)
 
     def test_matches_direct_summation(self, rng):
         v = _t(rng.normal(size=(1, 64)))
@@ -265,11 +254,11 @@ class TestConv1dChannels:
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
-            ops.conv1d_channels(_t(np.zeros(8)), _t(np.zeros(4)))
+            ops.conv1d_channels(_t(np.zeros((1, 8))), _t(np.zeros(4)))
 
     def test_kernel_longer_than_channels_rejected(self):
         with pytest.raises(DimensionError):
-            ops.conv1d_channels(_t(np.zeros(3)), _t(np.zeros(5)))
+            ops.conv1d_channels(_t(np.zeros((1, 3))), _t(np.zeros(5)))
 
 
 class TestMaxpool:
@@ -341,11 +330,6 @@ class TestBatchnorm:
         x = Tensor(np.zeros((1, 2, 0, 4), dtype=np.float32))
         with pytest.raises(DegenerateInputError):
             ops.batchnorm2d(x, _t(np.ones(2)), _t(np.zeros(2)), mode="batch")
-
-    def test_bad_eps_rejected(self, rng):
-        x = _t(rng.normal(size=(1, 2, 3, 3)))
-        with pytest.raises(ConfigError):
-            ops.batchnorm2d(x, _t(np.ones(2)), _t(np.zeros(2)), mode="batch", eps=0.0)
 
 
 class TestElementwise:
