@@ -169,7 +169,7 @@ def _unpad_grad(gxp, p, padding, h, w):
     return np.ascontiguousarray(rows[:, :, :, p : p + w])
 
 
-def _conv2d_input_grad(g, wmat, xshape, k, stride, padding):
+def _conv2d_input_grad(g, wmat, xshape, grid, k, stride, padding):
     # wmat^T g, one row tile at a time, each tap's slab added onto the
     # window of the padded map it was gathered from.
     n, cout, oh, ow = g.shape
@@ -179,7 +179,7 @@ def _conv2d_input_grad(g, wmat, xshape, k, stride, padding):
     h, w = xshape[2:]
     p = (k - 1) // 2
     gxp = np.zeros((*xshape[:2], h + 2 * p, w + 2 * p), dtype=g.dtype)
-    for lo, hi, windows, tile in ops._row_tiles(xshape, k, stride, padding, g.itemsize):
+    for lo, hi, windows, tile in ops._row_tiles(xshape, grid, stride, g.itemsize):
         cols = np.matmul(wmat.T, g3[:, :, lo * ow : hi * ow]).reshape(tile)
         for t, window in enumerate(windows):
             gxp[window] += cols[:, :, t]
@@ -194,7 +194,7 @@ def conv2d(x, weight, *, stride: int = 1, padding: str = ops.ZERO):
     xv, wv = _lift(tape, x), _lift(tape, weight)
     xa, wa = xv.value.data, wv.value.data
     cout, _, k, _ = wa.shape
-    _, _, rows, cols, _ = ops._tap_grid(xa.shape, k, stride, padding)
+    _, _, rows, cols, _ = grid = ops._tap_grid(xa.shape, k, stride, padding)
     wlive = wa[:, :, rows, cols]
     wmat = wlive.reshape(cout, -1)
 
@@ -204,13 +204,13 @@ def conv2d(x, weight, *, stride: int = 1, padding: str = ops.ZERO):
         gx = gw = None
         if needed[1]:
             glive = np.zeros_like(wmat)
-            for lo, hi, patches in ops._patch_tiles(xa, k, stride, padding):
+            for lo, hi, patches in ops._patch_tiles(xa, grid, k, stride, padding):
                 cols_t = patches.reshape(n, wmat.shape[1], (hi - lo) * ow).transpose(0, 2, 1)
                 glive += np.matmul(g3[:, :, lo * ow : hi * ow], cols_t).sum(axis=0)
             gw = np.zeros_like(wa)
             gw[:, :, rows, cols] = glive.reshape(wlive.shape)
         if needed[0]:
-            gx = _conv2d_input_grad(g, wmat, xa.shape, k, stride, padding)
+            gx = _conv2d_input_grad(g, wmat, xa.shape, grid, k, stride, padding)
         return gx, gw
 
     return tape._record("conv2d", y, (xv, wv), vjp)
@@ -244,9 +244,9 @@ def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ops.ZERO):
     def vjp(g, needed):
         gx = gk = None
         if needed[1]:
-            _, _, rows, cols, windows = ops._tap_grid(xa.shape, k, stride, padding)
+            _, _, rows, cols, windows = grid = ops._tap_grid(xa.shape, k, stride, padding)
             per_tap = np.zeros((xa.shape[1], len(windows)), dtype=g.dtype)
-            for lo, hi, patches in ops._patch_tiles(xa, k, stride, padding):
+            for lo, hi, patches in ops._patch_tiles(xa, grid, k, stride, padding):
                 per_tap += np.einsum("nctij,ncij->ct", patches, g[:, :, lo:hi])
             gk = np.zeros_like(ka)
             live = gk[..., rows, cols]
@@ -469,26 +469,21 @@ def sqrt_eps(x):
     return tape._record("sqrt_eps", y, (xv,), vjp)
 
 
-def dropout(x, rate: float, *, training: bool, rng=None):
+def dropout(x, rate: float, rng=None):
+    tape = _tape_of(x)
+    if tape is None:
+        return ops.dropout(x, rate, rng)
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        # Identity contract, bit-exact in both taped and plain paths.
-        return x if isinstance(x, Var) else ops.dropout(x, rate, training=False)
-    if rng is None:
-        raise ContractError("training-mode dropout requires a seeded generator")
-    tape = _tape_of(x)
-    val = _value(x)
+    if rng is None or rate == 0.0:
+        return x  # the identity, bit-exact
+    val = x.value
     mask = ops._dropout_mask(val.shape, rate, rng, val.dtype)
-    y = Tensor._wrap(val.data * mask)
-    if tape is None:
-        return y
-    xv = _lift(tape, x)
 
     def vjp(g, needed):
         return (g * mask,) if needed[0] else (None,)
 
-    return tape._record("dropout", y, (xv,), vjp)
+    return tape._record("dropout", Tensor._wrap(val.data * mask), (x,), vjp)
 
 
 def sum_all(x):

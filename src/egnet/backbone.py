@@ -40,6 +40,8 @@ from .tensor import DEFAULT_DTYPE, Tensor
 
 VARIANTS = {"tiny": 32, "small": 64}
 
+INPUT_MULTIPLE = 32  # the pyramid's total stride: input sides must be multiples of it
+
 _INITS = ("he_normal", "ones", "zeros", "fixed_kernel")
 
 
@@ -161,11 +163,9 @@ class Mode:
         self.stats = stats
         self.dropout_seed = dropout_seed
 
-    @property
-    def training(self) -> bool:
-        return self.dropout_seed is not None
-
-    def dropout_rng(self, tag: str) -> np.random.Generator:
+    def dropout_rng(self, tag: str) -> np.random.Generator | None:
+        if self.dropout_seed is None:
+            return None
         return np.random.default_rng([self.dropout_seed, zlib.crc32(tag.encode("ascii"))])
 
 
@@ -209,17 +209,17 @@ FIXED_KERNEL_SPECS = {
 }
 
 
-def eca_kernel_size(channels: int, gamma: int = 2, beta: int = 1) -> int:
-    """Channel-adaptive 1-D kernel size: log2(C)/gamma + beta/gamma, odd-rounded.
+def eca_kernel_size(channels: int) -> int:
+    """Channel-adaptive 1-D kernel size: log2(C)/gamma + beta/gamma, odd-rounded,
+    with ``gamma`` and ``beta`` the :class:`BackboneConfig` constants.
 
     Rounds to the nearest odd integer, ties toward the larger one.
     """
     if channels < 2:
         raise ConfigError(f"eca_kernel_size needs at least 2 channels, got {channels}")
+    gamma, beta = BackboneConfig.eca_gamma, BackboneConfig.eca_beta
     t = math.log2(channels) / gamma + beta / gamma
-    lo = 2 * math.floor((t - 1.0) / 2.0) + 1
-    if lo < 1:
-        lo = 1
+    lo = 2 * math.floor((t - 1.0) / 2.0) + 1  # t >= 1 for C >= 2, so lo >= 1
     hi = lo + 2
     return hi if (t - lo) >= (hi - t) else lo
 
@@ -267,7 +267,7 @@ def param_specs(config: BackboneConfig) -> list[tuple[str, tuple[int, ...], str]
         w = widths[i - 1]
         if i > 1:
             drfd(f"s{i}.drfd", widths[i - 2])
-        k = eca_kernel_size(w, config.eca_gamma, config.eca_beta)
+        k = eca_kernel_size(w)
         for j in range(1, config.blocks[i - 1] + 1):
             b = f"s{i}.b{j}"
             put(b + ".ega.convblock.c1", (w, w, 1, 1))
@@ -434,39 +434,32 @@ def _stage_attention(x, stage, pview, cfg):
     return _gaussian_attention(pview.ops, x, pview("fixed.gauss5_s10"))
 
 
-def ega_forward(x, stage, pview, prefix, cfg, mode, trace=None):
+def ega_forward(x, stage, pview, prefix, cfg, mode):
     """Edge/Gaussian attention fused with the input through a conv block."""
     F = pview.ops
     a = _stage_attention(x, stage, pview, cfg)
-    if trace is not None:
-        trace[prefix + ".attention"] = _peek(a)
     fa = conv_block_forward(F.add(x, a), pview, prefix + ".convblock", cfg, mode)
     return F.conv2d(F.add(F.mul(x, fa), x), pview(prefix + ".conv3"))
 
 
-def leg_module_forward(x, stage, pview, prefix, cfg, mode, trace=None):
+def leg_module_forward(x, stage, pview, prefix, cfg, mode):
     """EGA features gated per channel (ECA) and folded back onto the input."""
     F = pview.ops
-    f_ega = ega_forward(x, stage, pview, prefix + ".ega", cfg, mode, trace)
+    f_ega = ega_forward(x, stage, pview, prefix + ".ega", cfg, mode)
     gates = F.sigmoid(F.conv1d_channels(F.global_avg_pool(f_ega), pview(prefix + ".eca.w")))
     return _norm(
         F.add(F.scale_channels(f_ega, gates), x), pview, prefix + ".leg.norm", cfg, mode
     )
 
 
-def leg_block_forward(x, stage, pview, prefix, cfg, mode, trace=None):
+def leg_block_forward(x, stage, pview, prefix, cfg, mode):
     """Shape-preserving block: LEG module, 1x1 expand/reduce, dropout, residual."""
     F = pview.ops
-    t = leg_module_forward(x, stage, pview, prefix, cfg, mode, trace)
+    t = leg_module_forward(x, stage, pview, prefix, cfg, mode)
     t = F.conv2d(t, pview(prefix + ".expand"))
     t = _an(t, pview, prefix + ".an.norm", cfg, mode)
     t = F.conv2d(t, pview(prefix + ".reduce"))
-    t = F.dropout(
-        t,
-        cfg.dropout_rate,
-        training=mode.training,
-        rng=mode.dropout_rng(prefix) if mode.training else None,
-    )
+    t = F.dropout(t, cfg.dropout_rate, rng=mode.dropout_rng(prefix))
     t = _norm(t, pview, prefix + ".out.norm", cfg, mode)
     return F.add(x, t)
 
@@ -486,18 +479,21 @@ def _segments(cfg, skip_blocks=False):
     return segs
 
 
-def _segment_forward(t, prefix, stage, pview, cfg, mode, trace=None):
+def _segment_forward(t, prefix, stage, pview, cfg, mode):
     if prefix == "stem":
         return log_stem_forward(t, pview, cfg, mode)
     if prefix.endswith(".drfd"):
         return drfd_forward(t, pview, prefix, cfg, mode)
-    return leg_block_forward(t, stage, pview, prefix, cfg, mode, trace)
+    return leg_block_forward(t, stage, pview, prefix, cfg, mode)
 
 
 def _pyramid_forward(x, pview, cfg, mode, trace=None, skip_blocks=False):
     t, levels = x, []
     for prefix, stage, tap in _segments(cfg, skip_blocks):
-        t = _segment_forward(t, prefix, stage, pview, cfg, mode, trace)
+        if trace is not None and ".b" in prefix:
+            # The block's own attention map: the same op on its input.
+            trace[prefix + ".ega.attention"] = _peek(_stage_attention(t, stage, pview, cfg))
+        t = _segment_forward(t, prefix, stage, pview, cfg, mode)
         if tap:
             levels.append(t)
     return FeaturePyramid(tuple(levels))
@@ -505,15 +501,15 @@ def _pyramid_forward(x, pview, cfg, mode, trace=None, skip_blocks=False):
 
 def _check_input(shape) -> None:
     """Raise DimensionError unless ``shape`` is ``(n, 3, h, w)`` with n >= 1
-    and h, w positive multiples of 32."""
+    and h, w positive multiples of :data:`INPUT_MULTIPLE`."""
     if len(shape) != 4 or shape[0] < 1 or shape[1] != 3:
         raise DimensionError(
             f"backbone input must be (n, 3, h, w) with n >= 1, got {tuple(shape)}", axis="c"
         )
     h, w = shape[2:]
-    if h < 1 or w < 1 or h % 32 or w % 32:
+    if h < 1 or w < 1 or h % INPUT_MULTIPLE or w % INPUT_MULTIPLE:
         raise DimensionError(
-            f"backbone input spatial dims must be positive multiples of 32, got {h}x{w}",
+            f"backbone input sides must be positive multiples of {INPUT_MULTIPLE}, got {h}x{w}",
             axis="h",
         )
 
@@ -613,8 +609,8 @@ class _StackedOps:
         return _each(weight, lambda w: ops._conv1d_raw(v, w))
 
     @staticmethod
-    def dropout(x, rate, *, training, rng=None):
-        if not training or rate == 0.0:
+    def dropout(x, rate, rng=None):
+        if rng is None or rate == 0.0:
             return x
         return x * ops._dropout_mask(x.shape[:4], rate, rng, x.dtype)[..., None]
 

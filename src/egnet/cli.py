@@ -196,6 +196,8 @@ def _cmd_features(args) -> int:
 def _cmd_gradcheck(args) -> int:
     _check_input((1, 3, args.size, args.size))
     _check_fd_settings(args.eps, args.coords)
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
     model = build_model(BackboneConfig.for_variant(args.variant), seed=args.seed)
     rng = np.random.default_rng(args.seed)
     x = Tensor(rng.normal(0.0, 1.0, size=(1, 3, args.size, args.size)).astype(np.float32))

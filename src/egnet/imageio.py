@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .backbone import INPUT_MULTIPLE
 from .errors import ImageFormatError
 from .tensor import Tensor, load_raw_tensor
 
@@ -76,17 +77,18 @@ def normalize_pixels(pixels: np.ndarray) -> Tensor:
     return Tensor._wrap(np.ascontiguousarray(x.transpose(2, 0, 1)[None]))
 
 
-def fit_to_multiple(x: Tensor, multiple: int = 32, fit: str = "pad") -> Tensor:
-    """Center-pad (replicate) or center-crop so h and w divide ``multiple``."""
+def fit_to_multiple(x: Tensor, fit: str = "pad") -> Tensor:
+    """Center-pad (replicate) or center-crop so h and w divide ``INPUT_MULTIPLE``."""
     if fit == "none":
         return x
     if fit not in ("pad", "crop"):
         raise ImageFormatError(f"fit must be pad, crop, or none, got {fit!r}")
     a = x.data
     h, w = a.shape[2], a.shape[3]
+    m = INPUT_MULTIPLE
     if fit == "pad":
-        th = -(-h // multiple) * multiple
-        tw = -(-w // multiple) * multiple
+        th = -(-h // m) * m
+        tw = -(-w // m) * m
         ph, pw = th - h, tw - w
         top, left = ph // 2, pw // 2
         a = np.pad(
@@ -95,15 +97,15 @@ def fit_to_multiple(x: Tensor, multiple: int = 32, fit: str = "pad") -> Tensor:
             mode="edge",
         )
     else:
-        th, tw = (h // multiple) * multiple, (w // multiple) * multiple
-        if th < multiple or tw < multiple:
-            raise ImageFormatError(f"image {h}x{w} too small to crop to a multiple of {multiple}")
+        th, tw = (h // m) * m, (w // m) * m
+        if th < m or tw < m:
+            raise ImageFormatError(f"image {h}x{w} too small to crop to a multiple of {m}")
         top, left = (h - th) // 2, (w - tw) // 2
         a = a[:, :, top : top + th, left : left + tw]
     return Tensor._wrap(np.ascontiguousarray(a))
 
 
-def load_image(path: str, *, fit: str = "pad", multiple: int = 32) -> Tensor:
+def load_image(path: str, *, fit: str = "pad") -> Tensor:
     """Load a PPM (normalized) or raw tensor file (verbatim) as (1, 3, h, w)."""
     with open(path, "rb") as fh:
         head = fh.read(2)
@@ -115,4 +117,4 @@ def load_image(path: str, *, fit: str = "pad", multiple: int = 32) -> Tensor:
             raise ImageFormatError(
                 f"raw tensor input must be (1, 3, h, w), got {x.shape}"
             )
-    return fit_to_multiple(x, multiple=multiple, fit=fit)
+    return fit_to_multiple(x, fit)

@@ -26,8 +26,8 @@ _SCHARR_X = np.array(
 def _check(k: int, sigma: float) -> None:
     if not isinstance(k, (int, np.integer)) or k < 1 or k % 2 == 0:
         raise ConfigError(f"kernel size must be a positive odd integer, got {k!r}")
-    if not sigma > 0:
-        raise ConfigError(f"sigma must be positive, got {sigma!r}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ConfigError(f"sigma must be finite and positive, got {sigma!r}")
 
 
 def _grid(k: int):
@@ -40,8 +40,12 @@ def gaussian_kernel(k: int, sigma: float) -> np.ndarray:
     """Isotropic Gaussian ``(1 / 2 pi s^2) exp(-(x^2+y^2) / 2 s^2)``, sum-1."""
     _check(k, sigma)
     x, y = _grid(k)
-    g = np.exp(-(x * x + y * y) / (2.0 * sigma * sigma)) / (2.0 * math.pi * sigma * sigma)
-    return g / g.sum()
+    with np.errstate(all="ignore"):  # a sigma whose square under- or overflows gives NaN
+        g = np.exp(-(x * x + y * y) / (2.0 * sigma * sigma)) / (2.0 * math.pi * sigma * sigma)
+        g = g / g.sum()
+    if not np.isfinite(g).all():
+        raise ConfigError(f"gaussian kernel of size {k} with sigma {sigma!r} is not finite")
+    return g
 
 
 def log_kernel(k: int, sigma: float, *, zero_dc: bool = True) -> np.ndarray:
@@ -54,9 +58,12 @@ def log_kernel(k: int, sigma: float, *, zero_dc: bool = True) -> np.ndarray:
     x, y = _grid(k)
     r2 = x * x + y * y
     s2 = sigma * sigma
-    g = (1.0 - r2 / s2) * np.exp(-r2 / (2.0 * s2)) / (math.pi * s2 * s2)
-    if zero_dc:
-        g = g - g.mean()
+    with np.errstate(all="ignore"):
+        g = (1.0 - r2 / s2) * np.exp(-r2 / (2.0 * s2)) / (math.pi * s2 * s2)
+        if zero_dc:
+            g = g - g.mean()
+    if not np.isfinite(g).all():
+        raise ConfigError(f"LoG kernel of size {k} with sigma {sigma!r} is not finite")
     return g
 
 

@@ -103,16 +103,17 @@ def _tap_grid(shape, k: int, stride: int, padding: str):
     return oh, ow, rows, cols, windows
 
 
-def _row_tiles(shape, k: int, stride: int, padding: str, itemsize: int):
-    """Output-row tiles of the ``k x k`` gather over a map of ``shape``.
+def _row_tiles(shape, grid, stride: int, itemsize: int):
+    """Output-row tiles of the gather over a map of ``shape`` whose taps
+    ``grid``, its :func:`_tap_grid`, describes.
 
     Yields ``(lo, hi, windows, tile)`` for output rows ``lo:hi``: the
-    windows of :func:`_tap_grid` narrowed to those rows, and the shape
+    grid's windows narrowed to those rows, and the shape
     ``(n, c, taps, hi - lo, ow, ...)`` of their patches.  A tile holds as
     many rows as keep its patches within :data:`TILE_BYTES`, and at least
     one; only the last tile may be shorter.
     """
-    oh, ow, _, _, windows = _tap_grid(shape, k, stride, padding)
+    oh, ow, _, _, windows = grid
     row = (*shape[:2], len(windows), 1, ow, *shape[4:])
     step = max(1, TILE_BYTES // max(1, itemsize * math.prod(row)))
     for lo in range(0, oh, step):
@@ -122,10 +123,10 @@ def _row_tiles(shape, k: int, stride: int, padding: str, itemsize: int):
         yield lo, hi, narrowed, (*row[:3], hi - lo, *row[4:])
 
 
-def _patch_tiles(x: np.ndarray, k: int, stride: int, padding: str):
+def _patch_tiles(x: np.ndarray, grid, k: int, stride: int, padding: str):
     """Yields ``(lo, hi, patches)``: ``x`` gathered under the taps of
-    :func:`_tap_grid` for output rows ``lo:hi``, one :func:`_row_tiles`
-    tile at a time.
+    ``grid``, its :func:`_tap_grid`, for output rows ``lo:hi``, one
+    :func:`_row_tiles` tile at a time.
 
     Every tile's ``patches`` is a contiguous view of one reused buffer,
     overwritten by the next tile.  For a pointwise kernel at stride 1
@@ -136,7 +137,7 @@ def _patch_tiles(x: np.ndarray, k: int, stride: int, padding: str):
         return
     xp = _pad2d(x, (k - 1) // 2, padding)
     buf = None
-    for lo, hi, windows, tile in _row_tiles(x.shape, k, stride, padding, x.itemsize):
+    for lo, hi, windows, tile in _row_tiles(x.shape, grid, stride, x.itemsize):
         if buf is None:  # the first tile is the largest
             buf = np.empty(math.prod(tile), dtype=x.dtype)
         patches = buf[: math.prod(tile)].reshape(tile)
@@ -191,13 +192,13 @@ def _conv2d_raw(xa, wa, stride, padding) -> np.ndarray:
     # ``ow * prod(shape[4:])`` columns.  Sizes are explicit because an
     # empty map makes a -1 ambiguous.
     n, cout, k = xa.shape[0], wa.shape[0], wa.shape[2]
-    oh, ow, rows, cols, _ = _tap_grid(xa.shape, k, stride, padding)
+    oh, ow, rows, cols, _ = grid = _tap_grid(xa.shape, k, stride, padding)
     wlive = wa[:, :, rows, cols]
     wmat = wlive.reshape(cout, math.prod(wlive.shape[1:]))
     row = ow * math.prod(xa.shape[4:])
     y = np.empty((n, cout, oh, ow, *xa.shape[4:]), dtype=xa.dtype)
     y3 = y.reshape(n, cout, oh * row)
-    for lo, hi, patches in _patch_tiles(xa, k, stride, padding):
+    for lo, hi, patches in _patch_tiles(xa, grid, k, stride, padding):
         np.matmul(wmat, patches.reshape(n, wmat.shape[1], (hi - lo) * row),
                   out=y3[:, :, lo * row : hi * row])
     return y
@@ -493,20 +494,18 @@ def sqrt_eps(x) -> Tensor:
     return Tensor._wrap(np.sqrt(xa + SQRT_EPS))
 
 
-def dropout(x, rate: float, *, training: bool, rng=None) -> Tensor:
+def dropout(x, rate: float, rng=None) -> Tensor:
     """Inverted dropout.
 
-    Inference mode returns the input unchanged (bit-exact).  Training mode
-    zeroes each element with probability ``rate`` and scales survivors by
-    ``1/(1-rate)``; the mask comes from the caller-supplied generator so a
+    With no generator the input comes back unchanged (bit-exact).  With
+    one, each element is zeroed with probability ``rate`` and survivors
+    are scaled by ``1/(1-rate)``; the mask comes from the generator, so a
     run seed reproduces it exactly.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x if isinstance(x, Tensor) else Tensor(_data(x))
-    if rng is None:
-        raise ConfigError("training-mode dropout requires a seeded generator")
     xa = _data(x)
     mask = _dropout_mask(xa.shape, rate, rng, xa.dtype)
     return Tensor._wrap(xa * mask)

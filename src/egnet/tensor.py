@@ -30,8 +30,8 @@ class Tensor:
 
     __slots__ = ("_data",)
 
-    def __init__(self, data, dtype=None):
-        arr = np.array(data, dtype=dtype if dtype is not None else None, copy=True)
+    def __init__(self, data):
+        arr = np.array(data, copy=True)
         if arr.dtype not in _ALLOWED_DTYPES:
             if not np.issubdtype(arr.dtype, np.number) and arr.dtype != np.bool_:
                 raise ContractError(f"tensor data must be numeric, got {arr.dtype}")

@@ -14,8 +14,9 @@ Each entry records ``name``, ``shape``, ``frozen``, ``init``, ``offset``
 and in construction order, so save -> load -> save is byte-identical.
 The variant fixes the whole header, so a load rebuilds the header its
 variant implies and requires the file's to equal it.
-A checksum mismatch on load is reported as a warning, not an error: the
-structure is still intact, only the payload bytes differ.
+A checksum mismatch on load is always a :class:`ChecksumWarning`, not an
+error: the structure is still intact, only the payload bytes differ.
+``warnings.simplefilter("error", ChecksumWarning)`` makes it fatal.
 """
 
 from __future__ import annotations
@@ -93,16 +94,14 @@ def save_weights(model: Model, path: str) -> None:
     _atomic_write(path, body + struct.pack("<I", zlib.crc32(body)))
 
 
-def load_weights(path: str, *, on_checksum: str = "warn") -> Model:
+def load_weights(path: str) -> Model:
     """Read a weight file back into a model.
 
-    ``on_checksum`` is one of ``warn`` (default), ``raise``, ``ignore``.
-    Structural damage (bad magic, truncation, a header other than the one
-    the file's variant implies, a payload of the wrong length) always
-    raises :class:`WeightFormatError` with the byte offset.
+    A checksum mismatch warns (:class:`ChecksumWarning`).  Structural damage
+    (bad magic, truncation, a header other than the one the file's variant
+    implies, a payload of the wrong length) always raises
+    :class:`WeightFormatError` with the byte offset.
     """
-    if on_checksum not in ("warn", "raise", "ignore"):
-        raise ValueError(f"on_checksum must be warn/raise/ignore, got {on_checksum!r}")
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 14:
@@ -148,8 +147,5 @@ def load_weights(path: str, *, on_checksum: str = "warn") -> Model:
     actual_crc = zlib.crc32(view[:-4])
     if stored_crc != actual_crc:
         msg = f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-        if on_checksum == "raise":
-            raise WeightFormatError(msg, offset=len(blob) - 4)
-        if on_checksum == "warn":
-            warnings.warn(msg, ChecksumWarning, stacklevel=2)
+        warnings.warn(msg, ChecksumWarning, stacklevel=2)
     return Model(config, params)

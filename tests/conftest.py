@@ -23,16 +23,17 @@ def conv_tiles(request, monkeypatch):
     """
     def tile(shape, k, stride, padding, dtype):
         itemsize = np.dtype(dtype).itemsize
+        grid = ops._tap_grid(shape, k, stride, padding)
 
         def heights():
-            return [hi - lo for lo, hi, _, _ in ops._row_tiles(shape, k, stride, padding, itemsize)]
+            return [hi - lo for lo, hi, _, _ in ops._row_tiles(shape, grid, stride, itemsize)]
 
         monkeypatch.setattr(ops, "TILE_BYTES", 1)
         oh = len(heights())
         if request.param == "one-row":
             assert heights() == [1] * oh
         else:
-            row = next(ops._row_tiles(shape, k, stride, padding, itemsize))[3]
+            row = next(ops._row_tiles(shape, grid, stride, itemsize))[3]
             monkeypatch.setattr(ops, "TILE_BYTES", 3 * itemsize * math.prod(row))
             assert oh % 3 and heights() == [3] * (oh // 3) + [oh % 3]
 

@@ -274,8 +274,7 @@ class TestPerOpGradients:
 
     def test_dropout_frozen_mask(self, rng):
         check_op_grads(
-            lambda v: ag.dropout(v["x"], 0.3, training=True,
-                                 rng=np.random.default_rng(5)),
+            lambda v: ag.dropout(v["x"], 0.3, rng=np.random.default_rng(5)),
             dict(x=rng.normal(size=(1, 2, 6, 6))),
         )
 

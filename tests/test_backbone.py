@@ -217,19 +217,22 @@ class TestEga:
 
     def test_stage1_uses_edge_attention(self, rng):
         m = tiny()
-        x = Tensor(rng.normal(size=(1, 32, 8, 8)).astype(np.float32))
+        x = Tensor(rng.normal(size=(1, 3, 32, 32)).astype(np.float32))
         trace = {}
-        ega_forward(x, 1, ParamView(m), "s1.b1.ega", m.config, Mode(), trace=trace)
+        backbone_forward(x, m, Mode(stats="batch"), trace=trace)
+        stem = log_stem_forward(x, ParamView(m), m.config, Mode(stats="batch"))
         a = trace["s1.b1.ega.attention"]
-        np.testing.assert_allclose(a.data, edge_attention(x).data, rtol=1e-6)
+        np.testing.assert_allclose(a.data, edge_attention(stem).data, rtol=1e-6)
 
     def test_zero_input_with_zero_final_conv(self):
         m = tiny().with_values({"s1.b1.ega.conv3": np.zeros((32, 32, 3, 3), dtype=np.float32)})
         x = Tensor(np.zeros((1, 32, 8, 8), dtype=np.float32))
-        trace = {}
-        out = ega_forward(x, 1, ParamView(m), "s1.b1.ega", m.config, Mode(), trace=trace)
-        assert (trace["s1.b1.ega.attention"].data <= 1e-5).all()
+        out = ega_forward(x, 1, ParamView(m), "s1.b1.ega", m.config, Mode())
         np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
+        # A zero image reaches the first block as zeros.
+        trace = {}
+        backbone_forward(np.zeros((1, 3, 32, 32), dtype=np.float32), m, Mode(), trace=trace)
+        assert (trace["s1.b1.ega.attention"].data <= 1e-5).all()
 
     def test_unit_conv_block_doubles_input(self, rng):
         # out.norm with scale 0 / shift 1 pins the conv-block output to ones,
@@ -378,6 +381,30 @@ class TestBackboneForward:
         assert "s1.b1.ega.attention" in trace
         assert trace["s1.b1.ega.attention"].shape == (1, 32, 16, 16)
         assert (trace["s1.b1.ega.attention"].data >= 0).all()
+
+    def test_dump_records_each_blocks_own_attention(self, rng):
+        # Each block's input comes from running the segments one by one,
+        # apart from the walk that fills the trace.
+        m = tiny()
+        cfg, mode, pview = m.config, Mode(stats="batch"), ParamView(m)
+        x = Tensor(rng.normal(size=(1, 3, 64, 64)).astype(np.float32))
+        trace = {}
+        backbone_forward(x, m, mode, trace=trace)
+        t, blocks = x, []
+        for i in range(1, 5):
+            if i == 1:
+                t = log_stem_forward(t, pview, cfg, mode)
+            else:
+                t = drfd_forward(t, pview, f"s{i}.drfd", cfg, mode)
+            attention = edge_attention if i == 1 else gaussian_attention
+            for j in range(1, cfg.blocks[i - 1] + 1):
+                prefix = f"s{i}.b{j}"
+                got = trace[prefix + ".ega.attention"]
+                assert got.data.tobytes() == attention(t).data.tobytes(), prefix
+                blocks.append(prefix + ".ega.attention")
+                t = leg_block_forward(t, i, pview, prefix, cfg, mode)
+        assert len(blocks) == 11
+        assert sorted(trace) == sorted(blocks)
 
     def test_zeroed_residual_branches_reduce_to_spine(self, rng):
         m = tiny()

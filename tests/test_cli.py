@@ -205,9 +205,11 @@ class TestErrorSurface:
         [(["--size", "0"], "shape"), (["--size", "-32"], "shape"),
          (["--coords", "0"], "config"), (["--coords", "-1"], "config"),
          (["--eps", "0"], "config"), (["--eps=-1e-5"], "config"),
-         (["--eps", "inf"], "config"), (["--eps", "nan"], "config")],
+         (["--eps", "inf"], "config"), (["--eps", "nan"], "config"),
+         (["--tol", "inf"], "config"), (["--tol", "nan"], "config"),
+         (["--tol", "0"], "config"), (["--tol=-1"], "config")],
         ids=["size=0", "size=-32", "coords=0", "coords=-1", "eps=0", "eps<0", "eps=inf",
-             "eps=nan"],
+             "eps=nan", "tol=inf", "tol=nan", "tol=0", "tol<0"],
     )
     def test_gradcheck_that_would_check_nothing_is_one_error_line(
         self, args, category, capsys, monkeypatch
@@ -227,6 +229,21 @@ class TestErrorSurface:
         rc = main(["kernels", "--type", "gaussian", "--size", "4", "--sigma", "1.0"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error category=config ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [["gaussian", "--sigma", "inf"], ["gaussian", "--sigma", "1e-300"],
+         ["log", "--size", "3", "--sigma", "1e-300"]],
+        ids=["gaussian-inf", "gaussian-tiny", "log-tiny"],
+    )
+    def test_non_finite_kernel_is_one_error_line(self, args, tmp_path, capsys):
+        out = str(tmp_path / "k.rt")
+        rc = main(["kernels", "--type", *args, "--out", out])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert re.fullmatch(r'error category=config message="[^"\n]*"\n', captured.err)
+        assert captured.out == ""
+        assert not os.path.exists(out)
 
     @staticmethod
     def edit_entry(path, entry, **fields):

@@ -134,4 +134,4 @@ def test_short_payload(tmp_path):
 def test_crop_smaller_than_multiple_rejected():
     x = Tensor(np.zeros((1, 3, 16, 40), dtype=np.float32))
     with pytest.raises(ImageFormatError):
-        fit_to_multiple(x, 32, "crop")
+        fit_to_multiple(x, "crop")

@@ -63,10 +63,18 @@ class TestGaussian:
         centers = [gaussian_kernel(5, s)[2, 2] for s in (0.4, 0.7, 1.0, 1.5, 2.5)]
         assert all(a > b for a, b in zip(centers, centers[1:]))
 
-    @pytest.mark.parametrize("k,sigma", [(2, 1.0), (0, 1.0), (3, 0.0), (3, -1.0)])
+    @pytest.mark.parametrize(
+        "k,sigma", [(2, 1.0), (0, 1.0), (3, 0.0), (3, -1.0), (3, math.inf), (3, math.nan)]
+    )
     def test_bad_arguments(self, k, sigma):
         with pytest.raises(ConfigError):
             gaussian_kernel(k, sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-170, 1e300])
+    def test_non_finite_evaluation_rejected(self, sigma):
+        # sigma**2 underflows to 0 or overflows to inf: the formula gives NaN.
+        with pytest.raises(ConfigError, match="not finite"):
+            gaussian_kernel(5, sigma)
 
 
 class TestLoG:
@@ -85,6 +93,12 @@ class TestLoG:
             assert m[i, j] == 0.0
         np.testing.assert_allclose(m[0, 0], -math.exp(-1.0) / math.pi, rtol=1e-9)
         np.testing.assert_allclose(m[0, 0], -0.1171, atol=5e-5)
+
+    @pytest.mark.parametrize("zero_dc", [True, False])
+    @pytest.mark.parametrize("k,sigma", [(3, 1e-300), (7, 1e-170), (3, math.inf)])
+    def test_non_finite_evaluation_rejected(self, k, sigma, zero_dc):
+        with pytest.raises(ConfigError, match="finite"):
+            log_kernel(k, sigma, zero_dc=zero_dc)
 
     def test_center_is_max_when_kernel_wide_enough(self):
         for k, sigma in [(5, 1.0), (7, 1.0), (9, 1.4), (11, 2.0)]:

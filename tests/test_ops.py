@@ -388,36 +388,36 @@ class TestElementwise:
 class TestDropout:
     def test_inference_is_bit_exact_identity(self, rng):
         x = _t(rng.normal(size=(1, 3, 8, 8)))
-        y = ops.dropout(x, 0.1, training=False)
+        y = ops.dropout(x, 0.1)
         assert y.data.tobytes() == x.data.tobytes()
 
     def test_rate_zero_training(self, rng):
         x = _t(rng.normal(size=(1, 3, 8, 8)))
-        y = ops.dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
+        y = ops.dropout(x, 0.0, rng=np.random.default_rng(0))
         assert y.data.tobytes() == x.data.tobytes()
 
     def test_survivor_fraction_concentrates(self):
         x = Tensor(np.ones((1, 1, 1000, 1000), dtype=np.float32))
-        y = ops.dropout(x, 0.1, training=True, rng=np.random.default_rng(7))
+        y = ops.dropout(x, 0.1, rng=np.random.default_rng(7))
         survivors = np.count_nonzero(y.data) / y.size
         assert abs(survivors - 0.9) <= 0.003
 
     def test_survivors_are_rescaled(self):
         x = Tensor(np.ones((1, 1, 100, 100), dtype=np.float32))
-        y = ops.dropout(x, 0.1, training=True, rng=np.random.default_rng(7))
+        y = ops.dropout(x, 0.1, rng=np.random.default_rng(7))
         nz = y.data[y.data != 0]
         np.testing.assert_allclose(nz, 1.0 / 0.9, rtol=1e-6)
 
     def test_mask_reproducible_from_seed(self, rng):
         x = _t(rng.normal(size=(1, 2, 16, 16)))
-        y1 = ops.dropout(x, 0.1, training=True, rng=np.random.default_rng(123))
-        y2 = ops.dropout(x, 0.1, training=True, rng=np.random.default_rng(123))
+        y1 = ops.dropout(x, 0.1, rng=np.random.default_rng(123))
+        y2 = ops.dropout(x, 0.1, rng=np.random.default_rng(123))
         assert y1.data.tobytes() == y2.data.tobytes()
 
     def test_bad_rate_rejected(self, rng):
         x = _t(rng.normal(size=(1, 1, 2, 2)))
         with pytest.raises(ConfigError):
-            ops.dropout(x, 1.0, training=True, rng=np.random.default_rng(0))
+            ops.dropout(x, 1.0, rng=np.random.default_rng(0))
 
 
 class TestOracleSweep:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -67,8 +68,10 @@ def test_corrupted_payload_warns_but_loads(model, tmp_path):
     with pytest.warns(ChecksumWarning):
         back = load_weights(str(bad))
     assert len(back.params) == len(model.params)
-    with pytest.raises(WeightFormatError):
-        load_weights(str(bad), on_checksum="raise")
+    with warnings.catch_warnings():  # the documented way to make it fatal
+        warnings.simplefilter("error", ChecksumWarning)
+        with pytest.raises(ChecksumWarning):
+            load_weights(str(bad))
 
 
 def test_bad_magic(tmp_path, model):
@@ -151,7 +154,7 @@ def test_malformed_config_record_is_one_error_line(edit, needle, model, tmp_path
     save_weights(model, path)
     rewrite(path, edit)
     with pytest.raises(WeightFormatError, match=needle):
-        load_weights(path, on_checksum="raise")
+        load_weights(path)
     rc = main(["summary", "--weights", path])
     captured = capsys.readouterr()
     assert rc == 1
