@@ -28,15 +28,12 @@ from .tensor import Tensor
 
 
 class _Node:
-    __slots__ = ("op", "parents", "vjp", "needs_grad", "name", "frozen", "shape")
+    __slots__ = ("parents", "vjp", "needs_grad", "shape")
 
-    def __init__(self, op, parents, vjp, needs_grad, name=None, frozen=False, shape=None):
-        self.op = op
+    def __init__(self, parents, vjp, needs_grad, shape):
         self.parents = parents
         self.vjp = vjp
         self.needs_grad = needs_grad
-        self.name = name
-        self.frozen = frozen
         self.shape = shape
 
 
@@ -54,16 +51,17 @@ class Tape:
             if name in self._leaves:
                 raise ContractError(f"leaf {name!r} already on tape")
             self._leaves[name] = len(self.nodes)
-        self.nodes.append(
-            _Node("leaf", (), None, needs_grad=not frozen, name=name, frozen=frozen,
-                  shape=value.shape)
-        )
+        self.nodes.append(_Node((), None, not frozen, value.shape))
         return Var(self, len(self.nodes) - 1, value)
 
-    def _record(self, op: str, value: Tensor, operands, vjp) -> "Var":
-        parents = tuple(v.index for v in operands)
+    def _record(self, value: Tensor, operands, vjp) -> "Var":
+        # Constants enter as anonymous frozen leaves, in operand order: no
+        # gradient flows to them.
+        parents = tuple(
+            (x if isinstance(x, Var) else self.leaf(x, frozen=True)).index for x in operands
+        )
         needs = any(self.nodes[i].needs_grad for i in parents)
-        self.nodes.append(_Node(op, parents, vjp, needs, shape=value.shape))
+        self.nodes.append(_Node(parents, vjp, needs, value.shape))
         return Var(self, len(self.nodes) - 1, value)
 
 
@@ -76,10 +74,6 @@ class Var:
         self.tape = tape
         self.index = index
         self.value = value
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def __repr__(self):
         return f"Var(#{self.index}, shape={self.value.shape})"
@@ -101,13 +95,6 @@ def _tape_of(*xs) -> Tape | None:
     return tape
 
 
-def _lift(tape: Tape, x) -> Var:
-    if isinstance(x, Var):
-        return x
-    # Constants enter as anonymous frozen leaves: no gradient flows to them.
-    return tape.leaf(_value(x), frozen=True)
-
-
 def backward(loss: Var) -> dict[str, np.ndarray]:
     """Reverse sweep from a scalar loss.
 
@@ -125,6 +112,8 @@ def backward(loss: Var) -> dict[str, np.ndarray]:
     for idx in range(loss.index, -1, -1):
         node = nodes[idx]
         g = grads[idx]
+        # Only a node that needs a gradient runs its VJP, so a one-input
+        # VJP's operand always needs one.
         if g is None or node.vjp is None or not node.needs_grad:
             continue
         needed = tuple(nodes[p].needs_grad for p in node.parents)
@@ -139,7 +128,7 @@ def backward(loss: Var) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for name, idx in tape._leaves.items():
         node = nodes[idx]
-        if node.frozen:
+        if not node.needs_grad:  # a frozen leaf
             continue
         g = grads[idx]
         if g is None:
@@ -191,8 +180,7 @@ def conv2d(x, weight, *, stride: int = 1, padding: str = ops.ZERO):
     y = ops.conv2d(_value(x), _value(weight), stride=stride, padding=padding)
     if tape is None:
         return y
-    xv, wv = _lift(tape, x), _lift(tape, weight)
-    xa, wa = xv.value.data, wv.value.data
+    xa, wa = _value(x).data, _value(weight).data
     cout, _, k, _ = wa.shape
     _, _, rows, cols, _ = grid = ops._tap_grid(xa.shape, k, stride, padding)
     wlive = wa[:, :, rows, cols]
@@ -213,7 +201,7 @@ def conv2d(x, weight, *, stride: int = 1, padding: str = ops.ZERO):
             gx = _conv2d_input_grad(g, wmat, xa.shape, grid, k, stride, padding)
         return gx, gw
 
-    return tape._record("conv2d", y, (xv, wv), vjp)
+    return tape._record(y, (x, weight), vjp)
 
 
 def _depthwise_input_grad(g, ka, xshape, stride, padding):
@@ -237,8 +225,7 @@ def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ops.ZERO):
     y = ops.depthwise_conv2d(_value(x), _value(kernel), stride=stride, padding=padding)
     if tape is None:
         return y
-    xv, kv = _lift(tape, x), _lift(tape, kernel)
-    xa, ka = xv.value.data, kv.value.data
+    xa, ka = _value(x).data, _value(kernel).data
     k = ka.shape[-1]
 
     def vjp(g, needed):
@@ -255,7 +242,7 @@ def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ops.ZERO):
             gx = _depthwise_input_grad(g, ka, xa.shape, stride, padding)
         return gx, gk
 
-    return tape._record("depthwise_conv2d", y, (xv, kv), vjp)
+    return tape._record(y, (x, kernel), vjp)
 
 
 def conv1d_channels(v, weight):
@@ -263,8 +250,7 @@ def conv1d_channels(v, weight):
     y = ops.conv1d_channels(_value(v), _value(weight))
     if tape is None:
         return y
-    vv, wv = _lift(tape, v), _lift(tape, weight)
-    va, wa = vv.value.data, wv.value.data
+    va, wa = _value(v).data, _value(weight).data
     k = wa.shape[0]
     p = k // 2
 
@@ -278,7 +264,7 @@ def conv1d_channels(v, weight):
             gw = np.einsum("nck,nc->k", sliding_window_view(vp, k, axis=1), g)
         return gv, gw
 
-    return tape._record("conv1d_channels", y, (vv, wv), vjp)
+    return tape._record(y, (v, weight), vjp)
 
 
 def maxpool2d(x):
@@ -286,12 +272,9 @@ def maxpool2d(x):
     y = ops.maxpool2d(_value(x))
     if tape is None:
         return y
-    xv = _lift(tape, x)
-    xa, ya = xv.value.data, y.data
+    xa, ya = _value(x).data, y.data
 
-    def vjp(g, needed):
-        if not needed[0]:
-            return (None,)
+    def vjp(g, _):
         # Each window's gradient goes to its first maximal element in
         # row-major order (its first NaN, if any), as argmax would pick.
         gx = np.zeros_like(xa)
@@ -303,7 +286,7 @@ def maxpool2d(x):
             free &= ~hit
         return (gx,)
 
-    return tape._record("maxpool2d", y, (xv,), vjp)
+    return tape._record(y, (x,), vjp)
 
 
 def global_avg_pool(x):
@@ -311,19 +294,17 @@ def global_avg_pool(x):
     y = ops.global_avg_pool(_value(x))
     if tape is None:
         return y
-    xv = _lift(tape, x)
-    n, c, h, w = xv.value.shape
+    n, c, h, w = _value(x).shape
 
-    def vjp(g, needed):
-        if not needed[0]:
-            return (None,)
+    def vjp(g, _):
         return (np.broadcast_to((g / (h * w))[:, :, None, None], (n, c, h, w)).copy(),)
 
-    return tape._record("global_avg_pool", y, (xv,), vjp)
+    return tape._record(y, (x,), vjp)
 
 
 def batchnorm2d(x, scale, shift, *, mode="batch", mean=None, var=None):
-    tape = _tape_of(x, scale, shift, mean, var)
+    # Running statistics are constants: they never enter the tape.
+    tape = _tape_of(x, scale, shift)
     if tape is not None and mode == "batch":
         # One pass for y and the statistics its VJP needs.
         ya, xhat, inv = ops._batchnorm_batch(*(_value(a).data for a in (x, scale, shift)))
@@ -335,8 +316,7 @@ def batchnorm2d(x, scale, shift, *, mode="batch", mean=None, var=None):
         )
         if tape is None:
             return y
-    xv, sv, bv = _lift(tape, x), _lift(tape, scale), _lift(tape, shift)
-    xa, sa = xv.value.data, sv.value.data
+    xa, sa = _value(x).data, _value(scale).data
 
     if mode == "batch":
         m = xa.shape[0] * xa.shape[2] * xa.shape[3]
@@ -354,29 +334,22 @@ def batchnorm2d(x, scale, shift, *, mode="batch", mean=None, var=None):
                 gx = inv[None, :, None, None] * (dxhat - s1 / m - xhat * s2 / m)
             return gx, gs, gb
 
-        return tape._record("batchnorm2d", y, (xv, sv, bv), vjp)
+        return tape._record(y, (x, scale, shift), vjp)
 
-    mv, vv = _lift(tape, mean), _lift(tape, var)
-    ma, va = mv.value.data, vv.value.data
-    inv = 1.0 / np.sqrt(va + ops.BN_EPS)
-    xhat = (xa - ma[None, :, None, None]) * inv[None, :, None, None]
+    inv = 1.0 / np.sqrt(_value(var).data + ops.BN_EPS)
+    xhat = (xa - _value(mean).data[None, :, None, None]) * inv[None, :, None, None]
 
     def vjp(g, needed):
-        gx = gs = gb = gm = gv = None
-        gsum = g.sum(axis=(0, 2, 3))
+        gx = gs = gb = None
         if needed[2]:
-            gb = gsum
+            gb = g.sum(axis=(0, 2, 3))
         if needed[1]:
             gs = (g * xhat).sum(axis=(0, 2, 3))
         if needed[0]:
             gx = g * (sa * inv)[None, :, None, None]
-        if needed[3]:
-            gm = -sa * inv * gsum
-        if needed[4]:
-            gv = -0.5 * sa * inv * inv * (g * xhat).sum(axis=(0, 2, 3))
-        return gx, gs, gb, gm, gv
+        return gx, gs, gb
 
-    return tape._record("batchnorm2d", y, (xv, sv, bv, mv, vv), vjp)
+    return tape._record(y, (x, scale, shift), vjp)
 
 
 def gelu(x):
@@ -384,18 +357,15 @@ def gelu(x):
     y = ops.gelu(_value(x))
     if tape is None:
         return y
-    xv = _lift(tape, x)
-    xa = xv.value.data
+    xa = _value(x).data
 
-    def vjp(g, needed):
-        if not needed[0]:
-            return (None,)
+    def vjp(g, _):
         u = ops._GELU_C * (xa + 0.044715 * xa * xa * xa)
         t = np.tanh(u)
         du = ops._GELU_C * (1.0 + 3.0 * 0.044715 * xa * xa)
         return (g * (0.5 * (1.0 + t) + 0.5 * xa * (1.0 - t * t) * du),)
 
-    return tape._record("gelu", y, (xv,), vjp)
+    return tape._record(y, (x,), vjp)
 
 
 def sigmoid(x):
@@ -403,13 +373,12 @@ def sigmoid(x):
     y = ops.sigmoid(_value(x))
     if tape is None:
         return y
-    xv = _lift(tape, x)
     ya = y.data
 
-    def vjp(g, needed):
-        return (g * ya * (1.0 - ya),) if needed[0] else (None,)
+    def vjp(g, _):
+        return (g * ya * (1.0 - ya),)
 
-    return tape._record("sigmoid", y, (xv,), vjp)
+    return tape._record(y, (x,), vjp)
 
 
 def add(a, b):
@@ -417,12 +386,11 @@ def add(a, b):
     y = ops.add(_value(a), _value(b))
     if tape is None:
         return y
-    av, bv = _lift(tape, a), _lift(tape, b)
 
     def vjp(g, needed):
         return (g if needed[0] else None, g if needed[1] else None)
 
-    return tape._record("add", y, (av, bv), vjp)
+    return tape._record(y, (a, b), vjp)
 
 
 def mul(a, b):
@@ -430,13 +398,12 @@ def mul(a, b):
     y = ops.mul(_value(a), _value(b))
     if tape is None:
         return y
-    av, bv = _lift(tape, a), _lift(tape, b)
-    aa, ba = av.value.data, bv.value.data
+    aa, ba = _value(a).data, _value(b).data
 
     def vjp(g, needed):
         return (g * ba if needed[0] else None, g * aa if needed[1] else None)
 
-    return tape._record("mul", y, (av, bv), vjp)
+    return tape._record(y, (a, b), vjp)
 
 
 def scale_channels(x, gates):
@@ -444,15 +411,14 @@ def scale_channels(x, gates):
     y = ops.scale_channels(_value(x), _value(gates))
     if tape is None:
         return y
-    xv, gv = _lift(tape, x), _lift(tape, gates)
-    xa, ga = xv.value.data, gv.value.data
+    xa, ga = _value(x).data, _value(gates).data
 
     def vjp(g, needed):
         gx = g * ga[:, :, None, None] if needed[0] else None
         gg = (g * xa).sum(axis=(2, 3)) if needed[1] else None
         return gx, gg
 
-    return tape._record("scale_channels", y, (xv, gv), vjp)
+    return tape._record(y, (x, gates), vjp)
 
 
 def sqrt_eps(x):
@@ -460,13 +426,12 @@ def sqrt_eps(x):
     y = ops.sqrt_eps(_value(x))
     if tape is None:
         return y
-    xv = _lift(tape, x)
     ya = y.data  # y = sqrt(x + eps) > 0, so the slope 1/(2y) stays finite
 
-    def vjp(g, needed):
-        return (g * (0.5 / ya),) if needed[0] else (None,)
+    def vjp(g, _):
+        return (g * (0.5 / ya),)
 
-    return tape._record("sqrt_eps", y, (xv,), vjp)
+    return tape._record(y, (x,), vjp)
 
 
 def dropout(x, rate: float, rng=None):
@@ -480,10 +445,10 @@ def dropout(x, rate: float, rng=None):
     val = x.value
     mask = ops._dropout_mask(val.shape, rate, rng, val.dtype)
 
-    def vjp(g, needed):
-        return (g * mask,) if needed[0] else (None,)
+    def vjp(g, _):
+        return (g * mask,)
 
-    return tape._record("dropout", Tensor._wrap(val.data * mask), (x,), vjp)
+    return tape._record(Tensor._wrap(val.data * mask), (x,), vjp)
 
 
 def sum_all(x):
@@ -491,15 +456,12 @@ def sum_all(x):
     y = ops.sum_all(_value(x))
     if tape is None:
         return y
-    xv = _lift(tape, x)
-    shape = xv.value.shape
+    shape = _value(x).shape
 
-    def vjp(g, needed):
-        if not needed[0]:
-            return (None,)
+    def vjp(g, _):
         return (np.full(shape, g[()], dtype=g.dtype),)
 
-    return tape._record("sum_all", y, (xv,), vjp)
+    return tape._record(y, (x,), vjp)
 
 
 def scale(x, alpha: float):
@@ -508,12 +470,11 @@ def scale(x, alpha: float):
     y = Tensor._wrap(xa * xa.dtype.type(alpha))
     if tape is None:
         return y
-    xv = _lift(tape, x)
 
-    def vjp(g, needed):
-        return (g * alpha,) if needed[0] else (None,)
+    def vjp(g, _):
+        return (g * alpha,)
 
-    return tape._record("scale", y, (xv,), vjp)
+    return tape._record(y, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

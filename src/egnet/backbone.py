@@ -173,7 +173,8 @@ class ParamView:
     """Uniform parameter accessor for plain and taped forwards.
 
     Taped access registers each parameter exactly once as a (possibly
-    frozen) named leaf; repeated lookups return the same Var.  ``ops`` is
+    frozen) named leaf; repeated lookups return the same Var.  Running
+    statistics stay plain values: they are not differentiated.  ``ops`` is
     the op set the block functions run: :mod:`egnet.autograd`, whose ops
     take plain tensors and taped values alike.
     """
@@ -186,13 +187,13 @@ class ParamView:
         self._cache = {}
 
     def __call__(self, name: str):
-        hit = self._cache.get(name)
-        if hit is not None:
-            return hit
         p = self._model.params[name]
-        out = p.value if self._tape is None else self._tape.leaf(p.value, name=name, frozen=p.frozen)
-        self._cache[name] = out
-        return out
+        if self._tape is None or p.is_stat:
+            return p.value
+        hit = self._cache.get(name)
+        if hit is None:
+            hit = self._cache[name] = self._tape.leaf(p.value, name=name, frozen=p.frozen)
+        return hit
 
 
 # ---------------------------------------------------------------------------

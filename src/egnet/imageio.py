@@ -2,8 +2,9 @@
 
 PPM pixels are scaled to [0, 1] and standardized per channel with the
 usual pretraining constants (recorded in the CLI summary so dumps are
-reproducible).  Raw tensor files are taken verbatim: they are assumed to
-be already prepared (1, 3, H, W) inputs.
+reproducible).  Raw tensor files are taken verbatim, cast to float32 (the
+dtype of every weight file): they are assumed to be already prepared
+(1, 3, H, W) inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 
 from .backbone import INPUT_MULTIPLE
 from .errors import ImageFormatError
-from .tensor import Tensor, load_raw_tensor
+from .tensor import DEFAULT_DTYPE, Tensor, load_raw_tensor
 
 NORM_MEAN = (0.485, 0.456, 0.406)
 NORM_STD = (0.229, 0.224, 0.225)
@@ -106,7 +107,7 @@ def fit_to_multiple(x: Tensor, fit: str = "pad") -> Tensor:
 
 
 def load_image(path: str, *, fit: str = "pad") -> Tensor:
-    """Load a PPM (normalized) or raw tensor file (verbatim) as (1, 3, h, w)."""
+    """Load a PPM (normalized) or raw tensor file (verbatim, as float32) as (1, 3, h, w)."""
     with open(path, "rb") as fh:
         head = fh.read(2)
     if head == b"P6":
@@ -117,4 +118,5 @@ def load_image(path: str, *, fit: str = "pad") -> Tensor:
             raise ImageFormatError(
                 f"raw tensor input must be (1, 3, h, w), got {x.shape}"
             )
+        x = x.astype(DEFAULT_DTYPE)
     return fit_to_multiple(x, fit)

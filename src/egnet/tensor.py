@@ -101,9 +101,6 @@ class Tensor:
             return self
         return Tensor._wrap(self._data.astype(dtype))
 
-    def tobytes(self) -> bytes:
-        return self._data.tobytes()
-
     @classmethod
     def zeros(cls, shape, dtype=DEFAULT_DTYPE) -> "Tensor":
         return cls._wrap(np.zeros(shape, dtype=dtype))

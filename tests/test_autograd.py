@@ -139,6 +139,21 @@ class TestBackwardBasics:
         grads = ag.backward(ag.sum_all(xv))
         np.testing.assert_array_equal(grads["unused"], np.zeros(3))
 
+    def test_duplicate_leaf_name_rejected(self, rng):
+        tape = Tape()
+        tape.leaf(Tensor(rng.normal(size=3)), name="x")
+        with pytest.raises(ContractError):
+            tape.leaf(Tensor(rng.normal(size=3)), name="x")
+
+    def test_untaped_loss_rejected(self, rng):
+        with pytest.raises(ContractError):
+            ag.backward(ag.sum_all(Tensor(rng.normal(size=3))))
+
+    def test_taped_dropout_rate_one_rejected(self, rng):
+        xv = Tape().leaf(Tensor(rng.normal(size=(1, 1, 2, 2))), name="x")
+        with pytest.raises(ConfigError):
+            ag.dropout(xv, 1.0, rng=np.random.default_rng(0))
+
     def test_frozen_leaf_absent_from_gradients(self, rng):
         tape = Tape()
         xv = tape.leaf(Tensor(rng.normal(size=(1, 2, 4, 4))), name="x")
@@ -245,13 +260,11 @@ class TestPerOpGradients:
         )
 
     def test_batchnorm_running_mode(self, rng):
+        x, s, b = rng.normal(size=(2, 3, 4, 4)), rng.normal(size=3), rng.normal(size=3)
+        m, v2 = Tensor(rng.normal(size=3)), Tensor(rng.uniform(0.5, 2.0, size=3))
         check_op_grads(
-            lambda v: ag.batchnorm2d(
-                v["x"], v["s"], v["b"], mode="running", mean=v["m"], var=v["v2"]
-            ),
-            dict(x=rng.normal(size=(2, 3, 4, 4)), s=rng.normal(size=3),
-                 b=rng.normal(size=3), m=rng.normal(size=3),
-                 v2=rng.uniform(0.5, 2.0, size=3)),
+            lambda v: ag.batchnorm2d(v["x"], v["s"], v["b"], mode="running", mean=m, var=v2),
+            dict(x=x, s=s, b=b),
         )
 
     def test_gelu(self, rng):
@@ -455,6 +468,18 @@ class TestFrozenKernelContract:
         )
         for n in frozen:
             assert stepped.params[n].value.astype(np.float32).data.tobytes() == before[n]
+
+
+class TestRunningStatistics:
+    def test_backward_returns_learnable_names_and_input(self, rng):
+        model = build_model(BackboneConfig.for_variant("tiny"), seed=0)
+        tape = Tape()
+        pview = ParamView(model, tape=tape)
+        x = tape.leaf(Tensor(rng.normal(size=(1, 3, 32, 32)).astype(np.float32)), name="input")
+        with np.errstate(over="ignore", invalid="ignore"):
+            pyramid = _pyramid_forward(x, pview, model.config, Mode())
+            grads = ag.backward(_pyramid_loss(pyramid.levels))
+        assert set(grads) == {name for name, _ in model.learnable_items()} | {"input"}
 
 
 class TestNoNaNBackward:

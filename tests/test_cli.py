@@ -14,6 +14,7 @@ import pytest
 import egnet
 from egnet.backbone import BackboneConfig, Model, Param, build_model
 from egnet.cli import main
+from egnet.kernels import scharr_kernels
 from egnet.tensor import Tensor, load_raw_tensor, save_raw_tensor
 from egnet.weights import save_weights
 
@@ -76,6 +77,15 @@ class TestKernelsCommand:
         out = capsys.readouterr().out
         assert "scharr_x" in out and "scharr_y" in out
         assert "-10.00000000" in out
+
+    def test_scharr_dump_is_the_stacked_pair(self, tmp_path, capsys):
+        out_path = str(tmp_path / "s.rt")
+        assert main(["kernels", "--type", "scharr", "--out", out_path]) == 0
+        assert f"wrote {out_path}" in capsys.readouterr().out
+        t = load_raw_tensor(out_path)
+        expected = np.stack(scharr_kernels())[:, None].astype(np.float32)
+        assert t.dtype == np.float32
+        np.testing.assert_array_equal(t.data, expected)
 
     def test_scharr_rejects_size(self, capsys):
         assert main(["kernels", "--type", "scharr", "--size", "5"]) == 1
@@ -150,6 +160,19 @@ class TestFeaturesCommand:
         assert main(["features", "--weights", tiny_weights, "--image", ppm,
                      "--out-dir", out_dir]) == 0
         assert load_raw_tensor(os.path.join(out_dir, "level1.rt")).shape == (1, 32, 16, 16)
+
+    def test_float64_raw_input_runs_as_float32(self, tiny_weights, tmp_path):
+        values = np.random.default_rng(3).normal(size=(1, 3, 64, 64))
+        dirs = []
+        for dtype in ("float64", "float32"):
+            path = str(tmp_path / f"{dtype}.rt")
+            save_raw_tensor(Tensor(values.astype(dtype)), path)
+            dirs.append(str(tmp_path / dtype))
+            assert main(["features", "--weights", tiny_weights, "--image", path,
+                         "--out-dir", dirs[-1]]) == 0
+        for i in (1, 2, 3, 4):
+            a, b = (open(os.path.join(d, f"level{i}.rt"), "rb").read() for d in dirs)
+            assert a == b, i
 
 
 class TestGradcheckCommand:

@@ -10,6 +10,7 @@ from egnet import ops
 from egnet.backbone import FIXED_KERNEL_SPECS
 from egnet.errors import (
     ConfigError,
+    ContractError,
     DegenerateInputError,
     DimensionError,
     DomainError,
@@ -455,3 +456,60 @@ class TestOracleSweep:
         assert a == b
         g = ops.gelu(x).data.tobytes()
         assert g == ops.gelu(x).data.tobytes()
+
+
+def _z(*shape):
+    return np.zeros(shape, dtype=np.float32)
+
+
+# (id, call, error, the axis a DimensionError names)
+BAD_INPUTS = [
+    ("mixed-dtypes", lambda: ops.add(_z(1, 1, 2, 2), np.zeros((1, 1, 2, 2))), ContractError, None),
+    ("padding-mode", lambda: ops.conv2d(_z(1, 1, 4, 4), _z(1, 1, 3, 3), padding="reflect"),
+     ConfigError, None),
+    ("conv2d-input-rank", lambda: ops.conv2d(_z(1, 4, 4), _z(1, 1, 3, 3)), DimensionError, "n"),
+    ("conv2d-weight-rank", lambda: ops.conv2d(_z(1, 1, 4, 4), _z(1, 3, 3)), DimensionError, "k"),
+    ("conv2d-weight-not-square", lambda: ops.conv2d(_z(1, 1, 4, 4), _z(1, 1, 3, 1)),
+     DimensionError, "k"),
+    ("depthwise-input-rank", lambda: ops.depthwise_conv2d(_z(1, 4, 4), _z(3, 3)),
+     DimensionError, "n"),
+    ("depthwise-kernel-shape", lambda: ops.depthwise_conv2d(_z(1, 2, 4, 4), _z(2, 2, 3, 3)),
+     DimensionError, "k"),
+    ("depthwise-shared-not-square", lambda: ops.depthwise_conv2d(_z(1, 2, 4, 4), _z(3, 5)),
+     DimensionError, "k"),
+    ("depthwise-kernel-rank", lambda: ops.depthwise_conv2d(_z(1, 2, 4, 4), _z(2, 3, 3)),
+     DimensionError, "k"),
+    ("depthwise-even-kernel", lambda: ops.depthwise_conv2d(_z(1, 2, 4, 4), _z(4, 4)),
+     ConfigError, None),
+    ("depthwise-stride", lambda: ops.depthwise_conv2d(_z(1, 2, 4, 4), _z(3, 3), stride=3),
+     ConfigError, None),
+    ("conv1d-weight-rank", lambda: ops.conv1d_channels(_z(1, 4), _z(1, 3)), DimensionError, "k"),
+    ("conv1d-input-rank", lambda: ops.conv1d_channels(_z(1, 4, 1), _z(3)), DimensionError, "c"),
+    ("maxpool-rank", lambda: ops.maxpool2d(_z(1, 4, 4)), DimensionError, "n"),
+    ("gap-rank", lambda: ops.global_avg_pool(_z(1, 4, 4)), DimensionError, "n"),
+    ("gap-empty", lambda: ops.global_avg_pool(_z(1, 2, 0, 4)), DegenerateInputError, None),
+    ("batchnorm-mode", lambda: ops.batchnorm2d(_z(1, 2, 4, 4), _z(2), _z(2), mode="group"),
+     ConfigError, None),
+    ("batchnorm-rank", lambda: ops.batchnorm2d(_z(2, 4, 4), _z(2), _z(2)), DimensionError, "n"),
+    ("batchnorm-scale-shape", lambda: ops.batchnorm2d(_z(1, 2, 4, 4), _z(3), _z(2)),
+     DimensionError, "c"),
+    ("running-without-stats", lambda: ops.batchnorm2d(_z(1, 2, 4, 4), _z(2), _z(2), mode="running"),
+     ConfigError, None),
+    ("running-mean-shape", lambda: ops.batchnorm2d(
+        _z(1, 2, 4, 4), _z(2), _z(2), mode="running", mean=_z(3), var=_z(2)), DimensionError, "c"),
+    ("running-var-shape", lambda: ops.batchnorm2d(
+        _z(1, 2, 4, 4), _z(2), _z(2), mode="running", mean=_z(2), var=_z(2, 1)),
+     DimensionError, "c"),
+    ("scale-channels-rank", lambda: ops.scale_channels(_z(1, 2, 4), _z(1, 2)), DimensionError, "n"),
+    ("scale-channels-gates", lambda: ops.scale_channels(_z(1, 2, 4, 4), _z(1, 3)),
+     DimensionError, "c"),
+]
+
+
+@pytest.mark.parametrize("call, error, axis", [case[1:] for case in BAD_INPUTS],
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_bad_input_is_rejected(call, error, axis):
+    with pytest.raises(error) as err:
+        call()
+    if error is DimensionError:
+        assert err.value.axis == axis
