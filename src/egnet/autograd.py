@@ -43,6 +43,7 @@ class Tape:
     def __init__(self):
         self.nodes: list[_Node] = []
         self._leaves: dict[str, int] = {}
+        self._swept = False
 
     def leaf(self, value, *, name: str | None = None, frozen: bool = False) -> "Var":
         """Register an input tensor; named leaves are gradient keys."""
@@ -61,19 +62,21 @@ class Tape:
             (x if isinstance(x, Var) else self.leaf(x, frozen=True)).index for x in operands
         )
         needs = any(self.nodes[i].needs_grad for i in parents)
-        self.nodes.append(_Node(parents, vjp, needs, value.shape))
+        # A node no gradient passes through never runs its VJP.
+        self.nodes.append(_Node(parents, vjp if needs else None, needs, value.shape))
         return Var(self, len(self.nodes) - 1, value)
 
 
 class Var:
     """Handle to one value on a tape."""
 
-    __slots__ = ("tape", "index", "value")
+    __slots__ = ("tape", "index", "value", "remat")
 
     def __init__(self, tape: Tape, index: int, value: Tensor):
         self.tape = tape
         self.index = index
         self.value = value
+        self.remat = None  # or a recipe that recomputes value.data bitwise
 
     def __repr__(self):
         return f"Var(#{self.index}, shape={self.value.shape})"
@@ -83,6 +86,19 @@ def _value(x) -> Tensor | None:
     if x is None:
         return None
     return x.value if isinstance(x, Var) else (x if isinstance(x, Tensor) else Tensor(x))
+
+
+def _needs(x) -> bool:
+    return isinstance(x, Var) and x.tape.nodes[x.index].needs_grad
+
+
+def _kept(x):
+    # What a VJP reads of x, as a zero-argument callable.  Tensors are
+    # immutable, so a remat recipe stands in for a second copy of a value.
+    if isinstance(x, Var) and x.remat is not None:
+        return x.remat
+    a = _value(x).data
+    return lambda: a
 
 
 def _tape_of(*xs) -> Tape | None:
@@ -106,18 +122,22 @@ def backward(loss: Var) -> dict[str, np.ndarray]:
     if loss.value.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.value.shape}")
     tape = loss.tape
+    if tape._swept:
+        raise ContractError("tape already swept: backward releases each VJP once it has run")
+    tape._swept = True
     nodes = tape.nodes
     grads: list[np.ndarray | None] = [None] * len(nodes)
     grads[loss.index] = np.ones_like(loss.value.data)
-    for idx in range(loss.index, -1, -1):
+    for idx in range(len(nodes) - 1, -1, -1):
         node = nodes[idx]
+        vjp, node.vjp = node.vjp, None  # released with the arrays it keeps
         g = grads[idx]
-        # Only a node that needs a gradient runs its VJP, so a one-input
+        # Only a node that needs a gradient has a VJP, so a one-input
         # VJP's operand always needs one.
-        if g is None or node.vjp is None or not node.needs_grad:
+        if g is None or vjp is None:
             continue
         needed = tuple(nodes[p].needs_grad for p in node.parents)
-        for p, pg in zip(node.parents, node.vjp(g, needed)):
+        for p, pg in zip(node.parents, vjp(g, needed)):
             if pg is None:
                 continue
             # Out-of-place accumulation: vjp outputs may alias upstream grads.
@@ -180,11 +200,12 @@ def conv2d(x, weight, *, stride: int = 1, padding: str = ops.ZERO):
     y = ops.conv2d(_value(x), _value(weight), stride=stride, padding=padding)
     if tape is None:
         return y
-    xa, wa = _value(x).data, _value(weight).data
+    xshape, wa = _value(x).shape, _value(weight).data
     cout, _, k, _ = wa.shape
-    _, _, rows, cols, _ = grid = ops._tap_grid(xa.shape, k, stride, padding)
+    _, _, rows, cols, _ = grid = ops._tap_grid(xshape, k, stride, padding)
     wlive = wa[:, :, rows, cols]
     wmat = wlive.reshape(cout, -1)
+    xk = _kept(x) if _needs(weight) else None
 
     def vjp(g, needed):
         n, _, oh, ow = g.shape
@@ -192,13 +213,13 @@ def conv2d(x, weight, *, stride: int = 1, padding: str = ops.ZERO):
         gx = gw = None
         if needed[1]:
             glive = np.zeros_like(wmat)
-            for lo, hi, patches in ops._patch_tiles(xa, grid, k, stride, padding):
+            for lo, hi, patches in ops._patch_tiles(xk(), grid, k, stride, padding):
                 cols_t = patches.reshape(n, wmat.shape[1], (hi - lo) * ow).transpose(0, 2, 1)
                 glive += np.matmul(g3[:, :, lo * ow : hi * ow], cols_t).sum(axis=0)
             gw = np.zeros_like(wa)
             gw[:, :, rows, cols] = glive.reshape(wlive.shape)
         if needed[0]:
-            gx = _conv2d_input_grad(g, wmat, xa.shape, grid, k, stride, padding)
+            gx = _conv2d_input_grad(g, wmat, xshape, grid, k, stride, padding)
         return gx, gw
 
     return tape._record(y, (x, weight), vjp)
@@ -225,21 +246,22 @@ def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ops.ZERO):
     y = ops.depthwise_conv2d(_value(x), _value(kernel), stride=stride, padding=padding)
     if tape is None:
         return y
-    xa, ka = _value(x).data, _value(kernel).data
+    xshape, ka = _value(x).shape, _value(kernel).data
     k = ka.shape[-1]
+    xk = _kept(x) if _needs(kernel) else None
 
     def vjp(g, needed):
         gx = gk = None
         if needed[1]:
-            _, _, rows, cols, windows = grid = ops._tap_grid(xa.shape, k, stride, padding)
-            per_tap = np.zeros((xa.shape[1], len(windows)), dtype=g.dtype)
-            for lo, hi, patches in ops._patch_tiles(xa, grid, k, stride, padding):
+            _, _, rows, cols, windows = grid = ops._tap_grid(xshape, k, stride, padding)
+            per_tap = np.zeros((xshape[1], len(windows)), dtype=g.dtype)
+            for lo, hi, patches in ops._patch_tiles(xk(), grid, k, stride, padding):
                 per_tap += np.einsum("nctij,ncij->ct", patches, g[:, :, lo:hi])
             gk = np.zeros_like(ka)
             live = gk[..., rows, cols]
             live[...] = (per_tap if ka.ndim == 4 else per_tap.sum(axis=0)).reshape(live.shape)
         if needed[0]:
-            gx = _depthwise_input_grad(g, ka, xa.shape, stride, padding)
+            gx = _depthwise_input_grad(g, ka, xshape, stride, padding)
         return gx, gk
 
     return tape._record(y, (x, kernel), vjp)
@@ -250,17 +272,18 @@ def conv1d_channels(v, weight):
     y = ops.conv1d_channels(_value(v), _value(weight))
     if tape is None:
         return y
-    va, wa = _value(v).data, _value(weight).data
-    k = wa.shape[0]
+    vk = _kept(v) if _needs(weight) else None
+    wk = _kept(weight) if _needs(v) else None
+    k = _value(weight).shape[0]
     p = k // 2
 
     def vjp(g, needed):
         gv = gw = None
         if needed[0]:
             # The flipped kernel's correlation, as for depthwise_conv2d.
-            gv = ops._conv1d_raw(g, wa[::-1])
+            gv = ops._conv1d_raw(g, wk()[::-1])
         if needed[1]:
-            vp = np.pad(va, ((0, 0), (p, p)))
+            vp = np.pad(vk(), ((0, 0), (p, p)))
             gw = np.einsum("nck,nc->k", sliding_window_view(vp, k, axis=1), g)
         return gv, gw
 
@@ -272,11 +295,12 @@ def maxpool2d(x):
     y = ops.maxpool2d(_value(x))
     if tape is None:
         return y
-    xa, ya = _value(x).data, y.data
+    xk, ya = _kept(x), y.data
 
     def vjp(g, _):
         # Each window's gradient goes to its first maximal element in
         # row-major order (its first NaN, if any), as argmax would pick.
+        xa = xk()
         gx = np.zeros_like(xa)
         free = np.ones(g.shape, dtype=bool)
         for rows, cols in ops._pool_slices(*xa.shape[2:]):
@@ -334,7 +358,10 @@ def batchnorm2d(x, scale, shift, *, mode="batch", mean=None, var=None):
                 gx = inv[None, :, None, None] * (dxhat - s1 / m - xhat * s2 / m)
             return gx, gs, gb
 
-        return tape._record(y, (x, scale, shift), vjp)
+        out = tape._record(y, (x, scale, shift), vjp)
+        ba = _value(shift).data  # y's consumers keep xhat, which this VJP keeps anyway
+        out.remat = lambda: ops._batchnorm_affine(xhat, sa, ba)
+        return out
 
     inv = 1.0 / np.sqrt(_value(var).data + ops.BN_EPS)
     xhat = (xa - _value(mean).data[None, :, None, None]) * inv[None, :, None, None]
@@ -357,9 +384,10 @@ def gelu(x):
     y = ops.gelu(_value(x))
     if tape is None:
         return y
-    xa = _value(x).data
+    xk = _kept(x)
 
     def vjp(g, _):
+        xa = xk()
         u = ops._GELU_C * (xa + 0.044715 * xa * xa * xa)
         t = np.tanh(u)
         du = ops._GELU_C * (1.0 + 3.0 * 0.044715 * xa * xa)
@@ -398,10 +426,11 @@ def mul(a, b):
     y = ops.mul(_value(a), _value(b))
     if tape is None:
         return y
-    aa, ba = _value(a).data, _value(b).data
+    ak = _kept(a) if _needs(b) else None
+    bk = _kept(b) if _needs(a) else None
 
     def vjp(g, needed):
-        return (g * ba if needed[0] else None, g * aa if needed[1] else None)
+        return (g * bk() if needed[0] else None, g * ak() if needed[1] else None)
 
     return tape._record(y, (a, b), vjp)
 
@@ -411,11 +440,12 @@ def scale_channels(x, gates):
     y = ops.scale_channels(_value(x), _value(gates))
     if tape is None:
         return y
-    xa, ga = _value(x).data, _value(gates).data
+    xk = _kept(x) if _needs(gates) else None
+    gk = _kept(gates) if _needs(x) else None
 
     def vjp(g, needed):
-        gx = g * ga[:, :, None, None] if needed[0] else None
-        gg = (g * xa).sum(axis=(2, 3)) if needed[1] else None
+        gx = g * gk()[:, :, None, None] if needed[0] else None
+        gg = (g * xk()).sum(axis=(2, 3)) if needed[1] else None
         return gx, gg
 
     return tape._record(y, (x, gates), vjp)
@@ -442,13 +472,13 @@ def dropout(x, rate: float, rng=None):
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if rng is None or rate == 0.0:
         return x  # the identity, bit-exact
-    val = x.value
-    mask = ops._dropout_mask(val.shape, rate, rng, val.dtype)
+    xa = x.value.data
+    keep, dtype = ops._dropout_keep(xa.shape, rate, rng), xa.dtype
 
     def vjp(g, _):
-        return (g * mask,)
+        return (g * ops._dropout_mask(keep, rate, dtype),)
 
-    return tape._record(Tensor._wrap(val.data * mask), (x,), vjp)
+    return tape._record(Tensor._wrap(xa * ops._dropout_mask(keep, rate, dtype)), (x,), vjp)
 
 
 def sum_all(x):

@@ -613,7 +613,8 @@ class _StackedOps:
     def dropout(x, rate, rng=None):
         if rng is None or rate == 0.0:
             return x
-        return x * ops._dropout_mask(x.shape[:4], rate, rng, x.dtype)[..., None]
+        keep = ops._dropout_keep(x.shape[:4], rate, rng)
+        return x * ops._dropout_mask(keep, rate, x.dtype)[..., None]
 
     @staticmethod
     def batchnorm2d(x, scale, shift, *, mode):

@@ -412,8 +412,11 @@ def _batchnorm_batch(xa, sa, ba):
     var = np.einsum("nchw,nchw->c", d, d) / m
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = d * inv[None, :, None, None]
-    y = xhat * sa[None, :, None, None] + ba[None, :, None, None]
-    return np.ascontiguousarray(y), xhat, inv
+    return _batchnorm_affine(xhat, sa, ba), xhat, inv
+
+
+def _batchnorm_affine(xhat, sa, ba) -> np.ndarray:
+    return np.ascontiguousarray(xhat * sa[None, :, None, None] + ba[None, :, None, None])
 
 
 def gelu(x) -> Tensor:
@@ -507,12 +510,14 @@ def dropout(x, rate: float, rng=None) -> Tensor:
     if rng is None or rate == 0.0:
         return x if isinstance(x, Tensor) else Tensor(_data(x))
     xa = _data(x)
-    mask = _dropout_mask(xa.shape, rate, rng, xa.dtype)
-    return Tensor._wrap(xa * mask)
+    return Tensor._wrap(xa * _dropout_mask(_dropout_keep(xa.shape, rate, rng), rate, xa.dtype))
 
 
-def _dropout_mask(shape, rate, rng, dtype) -> np.ndarray:
-    keep = rng.random(shape) >= rate
+def _dropout_keep(shape, rate, rng) -> np.ndarray:
+    return rng.random(shape) >= rate
+
+
+def _dropout_mask(keep, rate, dtype) -> np.ndarray:
     return keep.astype(dtype) * dtype.type(1.0 / (1.0 - rate))
 
 

@@ -1,6 +1,7 @@
 """Reverse-mode tape: per-op gradient checks and structural contracts."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -161,6 +162,104 @@ class TestBackwardBasics:
         grads = ag.backward(ag.sum_all(ag.depthwise_conv2d(xv, k)))
         assert "kern" not in grads
         assert "x" in grads
+
+
+class TestTapeMemory:
+    """A node keeps only what its needed VJPs read, and backward releases it."""
+
+    def test_backward_releases_every_vjp(self, rng):
+        tape = Tape()
+        xv = tape.leaf(Tensor(rng.normal(size=(1, 2, 4, 4))), name="x")
+        h = ag.scale(xv, 2.0)  # an array made in the forward, read by gelu's VJP
+        made = weakref.ref(h.value.data)
+        loss = ag.sum_all(ag.gelu(h))
+        del h
+        assert made() is not None
+        ag.backward(loss)
+        assert all(node.vjp is None for node in tape.nodes)
+        assert made() is None
+
+    def test_second_sweep_rejected(self, rng):
+        tape = Tape()
+        xv = tape.leaf(Tensor(rng.normal(size=(1, 2, 4, 4))), name="x")
+        loss = ag.sum_all(ag.gelu(xv))
+        ag.backward(loss)
+        with pytest.raises(ContractError, match="swept"):
+            ag.backward(loss)
+
+    def test_norm_output_freed_behind_gelu(self, rng):
+        tape = Tape()
+        xv = tape.leaf(Tensor(rng.normal(size=(2, 3, 4, 4))), name="x")
+        sv = tape.leaf(Tensor(rng.normal(size=3)), name="s")
+        bv = tape.leaf(Tensor(rng.normal(size=3)), name="b")
+        n = ag.batchnorm2d(xv, sv, bv, mode="batch")
+        y = weakref.ref(n.value.data)
+        out = ag.gelu(n)
+        del n
+        assert y() is None
+        assert set(ag.backward(ag.sum_all(out))) == {"x", "s", "b"}
+
+    def test_frozen_kernel_depthwise_keeps_no_input(self, rng):
+        tape = Tape()
+        xv = tape.leaf(Tensor(rng.normal(size=(1, 2, 6, 6))), name="x")
+        k = tape.leaf(Tensor(FIXED_KERNEL_SPECS["fixed.scharr_x"].generate()), frozen=True)
+        h = ag.scale(xv, 2.0)
+        made = weakref.ref(h.value.data)
+        out = ag.depthwise_conv2d(h, k, padding=ops.REPLICATE)
+        del h
+        assert made() is None
+        assert ag.backward(ag.sum_all(out))["x"].shape == (1, 2, 6, 6)
+
+    def test_dropout_keeps_bool_mask(self, rng):
+        tape = Tape()
+        xv = tape.leaf(Tensor(rng.normal(size=(1, 2, 6, 6))), name="x")
+        ag.dropout(xv, 0.3, rng=np.random.default_rng(5))
+        cells = [c.cell_contents for c in tape.nodes[-1].vjp.__closure__]
+        kept = [a for a in cells if isinstance(a, np.ndarray)]
+        assert [a.dtype for a in kept] == [np.dtype(bool)]
+
+
+class TestNormRemat:
+    """A batch-mode norm's consumers recompute its output from ``xhat``."""
+
+    @staticmethod
+    def _leaves(tape, rng, dtype):
+        arrays = dict(x=rng.normal(size=(2, 3, 5, 5)), s=rng.normal(size=3),
+                      b=rng.normal(size=3), w=rng.normal(size=(4, 3, 3, 3)),
+                      a=rng.normal(size=(2, 3, 5, 5)))
+        return {k: tape.leaf(Tensor(v.astype(dtype)), name=k) for k, v in arrays.items()}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_remat_is_bitwise_output(self, rng, dtype):
+        v = self._leaves(Tape(), rng, dtype)
+        out = ag.batchnorm2d(v["x"], v["s"], v["b"], mode="batch")
+        y = out.remat()
+        assert y.dtype == dtype
+        assert y.tobytes() == out.value.data.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("consumer", ["gelu", "conv2d", "mul"])
+    def test_consumer_gradients_match_kept_output(self, dtype, consumer):
+        consumers = {
+            "gelu": lambda n, v: ag.gelu(n),
+            "conv2d": lambda n, v: ag.conv2d(n, v["w"]),
+            "mul": lambda n, v: ag.mul(v["a"], n),
+        }
+
+        def grads(remat):
+            tape = Tape()
+            v = self._leaves(tape, np.random.default_rng(3), dtype)
+            n = ag.batchnorm2d(v["x"], v["s"], v["b"], mode="batch")
+            if not remat:
+                n.remat = None  # the consumer keeps y itself
+            out = consumers[consumer](n, v)
+            proj = Tensor(np.random.default_rng(4).normal(size=out.value.shape).astype(dtype))
+            return ag.backward(ag.sum_all(ag.mul(out, proj)))
+
+        ref, got = grads(False), grads(True)
+        assert set(ref) == set(got)
+        for name in ref:
+            assert got[name].tobytes() == ref[name].tobytes(), name
 
 
 class TestPerOpGradients:
