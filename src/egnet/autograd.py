@@ -329,54 +329,38 @@ def global_avg_pool(x):
 def batchnorm2d(x, scale, shift, *, mode="batch", mean=None, var=None):
     # Running statistics are constants: they never enter the tape.
     tape = _tape_of(x, scale, shift)
-    if tape is not None and mode == "batch":
-        # One pass for y and the statistics its VJP needs.
-        ya, xhat, inv = ops._batchnorm_batch(*(_value(a).data for a in (x, scale, shift)))
-        y = Tensor._wrap(ya)
-    else:
-        y = ops.batchnorm2d(
+    if tape is None:
+        return ops.batchnorm2d(
             _value(x), _value(scale), _value(shift), mode=mode,
             mean=_value(mean), var=_value(var),
         )
-        if tape is None:
-            return y
-    xa, sa = _value(x).data, _value(scale).data
-
-    if mode == "batch":
-        m = xa.shape[0] * xa.shape[2] * xa.shape[3]
-
-        def vjp(g, needed):
-            gx = gs = gb = None
-            if needed[2]:
-                gb = g.sum(axis=(0, 2, 3))
-            if needed[1]:
-                gs = (g * xhat).sum(axis=(0, 2, 3))
-            if needed[0]:
-                dxhat = g * sa[None, :, None, None]
-                s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-                s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                gx = inv[None, :, None, None] * (dxhat - s1 / m - xhat * s2 / m)
-            return gx, gs, gb
-
-        out = tape._record(y, (x, scale, shift), vjp)
-        ba = _value(shift).data  # y's consumers keep xhat, which this VJP keeps anyway
-        out.remat = lambda: ops._batchnorm_affine(xhat, sa, ba)
-        return out
-
-    inv = 1.0 / np.sqrt(_value(var).data + ops.BN_EPS)
-    xhat = (xa - _value(mean).data[None, :, None, None]) * inv[None, :, None, None]
+    sa, ba = _value(scale).data, _value(shift).data
+    ya, d, inv = ops._batchnorm(_value(x).data, sa, ba, mode, _value(mean), _value(var))
+    a = sa * inv
+    m = d.shape[0] * d.shape[2] * d.shape[3]
+    batch = mode == "batch"
 
     def vjp(g, needed):
-        gx = gs = gb = None
-        if needed[2]:
-            gb = g.sum(axis=(0, 2, 3))
-        if needed[1]:
-            gs = (g * xhat).sum(axis=(0, 2, 3))
-        if needed[0]:
-            gx = g * (sa * inv)[None, :, None, None]
-        return gx, gs, gb
+        # With batch statistics, x's gradient reads both channel sums.
+        sums = batch and needed[0]
+        gb = g.sum(axis=(0, 2, 3)) if needed[2] or sums else None
+        gs = inv * (g * d).sum(axis=(0, 2, 3)) if needed[1] or sums else None
+        if not needed[0]:
+            gx = None
+        elif not batch:
+            gx = g * a[None, :, None, None]
+        else:
+            # a (g - gb/m - d inv gs/m), with one full-size temporary.
+            gx = d * (inv * gs / m)[None, :, None, None]
+            gx += (gb / m)[None, :, None, None]
+            np.subtract(g, gx, out=gx)
+            gx *= a[None, :, None, None]
+        return gx, gs if needed[1] else None, gb if needed[2] else None
 
-    return tape._record(y, (x, scale, shift), vjp)
+    out = tape._record(Tensor._wrap(ya), (x, scale, shift), vjp)
+    # y's consumers keep d, which this node keeps anyway, not y itself.
+    out.remat = lambda: ops._batchnorm_affine(d, a, ba)
+    return out
 
 
 def gelu(x):

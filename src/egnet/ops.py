@@ -367,29 +367,15 @@ def _gap_raw(xa) -> np.ndarray:
 def batchnorm2d(x, scale, shift, *, mode: str = "batch", mean=None, var=None) -> Tensor:
     """Per-channel normalization followed by an affine transform.
 
-    ``mode="batch"`` normalizes with statistics of the current tensor
-    (over n, h, w); ``mode="running"`` uses the provided stored
-    ``mean``/``var`` arrays.  Both add :data:`BN_EPS` to the variance.
+    ``y = (x - mu) * (scale * inv) + shift`` with ``inv = 1 / sqrt(var + BN_EPS)``.
+    ``mode="batch"`` takes mu and var from the current tensor (over n, h,
+    w); ``mode="running"`` takes them from the stored ``mean``/``var``.
     """
-    xa, sa, ba = _data(x), _data(scale), _data(shift)
-    if mode == "batch":
-        return Tensor._wrap(_batchnorm_batch(xa, sa, ba)[0])
-    _check_norm(xa, sa, ba, mode)
-    if mean is None or var is None:
-        raise ConfigError("running mode requires stored mean and var")
-    c = xa.shape[1]
-    ma, va = _data(mean), _data(var)
-    for name, arr in (("mean", ma), ("var", va)):
-        if arr.shape != (c,):
-            raise DimensionError(f"batchnorm {name} must have shape ({c},), got {arr.shape}", axis="c")
-    _check_same_dtype(xa, sa, ba, ma, va)
-    inv = 1.0 / np.sqrt(va + BN_EPS)
-    y = (xa - ma[None, :, None, None]) * (sa * inv)[None, :, None, None] + ba[None, :, None, None]
-    return Tensor._wrap(np.ascontiguousarray(y))
+    return Tensor._wrap(_batchnorm(_data(x), _data(scale), _data(shift), mode, mean, var)[0])
 
 
-def _check_norm(xa, sa, ba, mode) -> None:
-    # The checks that both modes of batchnorm2d share.
+def _batchnorm(xa, sa, ba, mode, mean, var):
+    """Checked norm kernel: ``(y, d, inv)`` with ``d = x - mu``, the last two for its VJP."""
     if mode not in ("batch", "running"):
         raise ConfigError(f"batchnorm mode must be 'batch' or 'running', got {mode!r}")
     if xa.ndim != 4:
@@ -398,25 +384,30 @@ def _check_norm(xa, sa, ba, mode) -> None:
     for name, arr in (("scale", sa), ("shift", ba)):
         if arr.shape != (c,):
             raise DimensionError(f"batchnorm {name} must have shape ({c},), got {arr.shape}", axis="c")
+    if mode == "batch":
+        m = xa.shape[0] * xa.shape[2] * xa.shape[3]
+        if m == 0:
+            raise DegenerateInputError("batch statistics over zero elements")
+        _check_same_dtype(xa, sa, ba)
+        d = xa - (xa.sum(axis=(0, 2, 3)) / m)[None, :, None, None]
+        va = np.einsum("nchw,nchw->c", d, d) / m
+    else:
+        if mean is None or var is None:
+            raise ConfigError("running mode requires stored mean and var")
+        ma, va = _data(mean), _data(var)
+        for name, arr in (("mean", ma), ("var", va)):
+            if arr.shape != (c,):
+                raise DimensionError(f"batchnorm {name} must have shape ({c},), got {arr.shape}", axis="c")
+        _check_same_dtype(xa, sa, ba, ma, va)
+        d = xa - ma[None, :, None, None]
+    inv = 1.0 / np.sqrt(va + BN_EPS)
+    return _batchnorm_affine(d, sa * inv, ba), d, inv
 
 
-def _batchnorm_batch(xa, sa, ba):
-    """Checked batch-statistics norm: ``(y, xhat, inv)``, the last two for its VJP."""
-    _check_norm(xa, sa, ba, "batch")
-    m = xa.shape[0] * xa.shape[2] * xa.shape[3]
-    if m == 0:
-        raise DegenerateInputError("batch statistics over zero elements")
-    _check_same_dtype(xa, sa, ba)
-    mu = xa.sum(axis=(0, 2, 3)) / m
-    d = xa - mu[None, :, None, None]
-    var = np.einsum("nchw,nchw->c", d, d) / m
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = d * inv[None, :, None, None]
-    return _batchnorm_affine(xhat, sa, ba), xhat, inv
-
-
-def _batchnorm_affine(xhat, sa, ba) -> np.ndarray:
-    return np.ascontiguousarray(xhat * sa[None, :, None, None] + ba[None, :, None, None])
+def _batchnorm_affine(d, a, ba) -> np.ndarray:
+    y = d * a[None, :, None, None]
+    y += ba[None, :, None, None]
+    return y
 
 
 def gelu(x) -> Tensor:

@@ -187,17 +187,25 @@ class TestTapeMemory:
         with pytest.raises(ContractError, match="swept"):
             ag.backward(loss)
 
-    def test_norm_output_freed_behind_gelu(self, rng):
+    @staticmethod
+    def _norm_freed_behind_gelu(rng, **stats):
         tape = Tape()
         xv = tape.leaf(Tensor(rng.normal(size=(2, 3, 4, 4))), name="x")
         sv = tape.leaf(Tensor(rng.normal(size=3)), name="s")
         bv = tape.leaf(Tensor(rng.normal(size=3)), name="b")
-        n = ag.batchnorm2d(xv, sv, bv, mode="batch")
+        n = ag.batchnorm2d(xv, sv, bv, **stats)
         y = weakref.ref(n.value.data)
         out = ag.gelu(n)
         del n
         assert y() is None
         assert set(ag.backward(ag.sum_all(out))) == {"x", "s", "b"}
+
+    def test_norm_output_freed_behind_gelu(self, rng):
+        self._norm_freed_behind_gelu(rng, mode="batch")
+
+    def test_running_norm_output_freed_behind_gelu(self, rng):
+        self._norm_freed_behind_gelu(rng, mode="running", mean=Tensor(rng.normal(size=3)),
+                                     var=Tensor(rng.uniform(0.5, 2.0, size=3)))
 
     def test_frozen_kernel_depthwise_keeps_no_input(self, rng):
         tape = Tape()
@@ -219,8 +227,17 @@ class TestTapeMemory:
         assert [a.dtype for a in kept] == [np.dtype(bool)]
 
 
+# (mode, dtype) of a norm; batch mode is the unnamed case.
+NORM_CASES = pytest.mark.parametrize("mode, dtype", [
+    pytest.param("batch", np.float32, id="float32"),
+    pytest.param("batch", np.float64, id="float64"),
+    pytest.param("running", np.float32, id="running-float32"),
+    pytest.param("running", np.float64, id="running-float64"),
+])
+
+
 class TestNormRemat:
-    """A batch-mode norm's consumers recompute its output from ``xhat``."""
+    """A norm's consumers recompute its output from the ``x - mu`` it keeps."""
 
     @staticmethod
     def _leaves(tape, rng, dtype):
@@ -229,17 +246,26 @@ class TestNormRemat:
                       a=rng.normal(size=(2, 3, 5, 5)))
         return {k: tape.leaf(Tensor(v.astype(dtype)), name=k) for k, v in arrays.items()}
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_remat_is_bitwise_output(self, rng, dtype):
+    @staticmethod
+    def _norm(v, mode):
+        if mode == "batch":
+            return ag.batchnorm2d(v["x"], v["s"], v["b"], mode="batch")
+        dtype = v["x"].value.dtype
+        return ag.batchnorm2d(v["x"], v["s"], v["b"], mode="running",
+                              mean=Tensor(np.array([0.3, -0.2, 0.1], dtype=dtype)),
+                              var=Tensor(np.array([0.5, 1.0, 2.0], dtype=dtype)))
+
+    @NORM_CASES
+    def test_remat_is_bitwise_output(self, rng, mode, dtype):
         v = self._leaves(Tape(), rng, dtype)
-        out = ag.batchnorm2d(v["x"], v["s"], v["b"], mode="batch")
+        out = self._norm(v, mode)
         y = out.remat()
         assert y.dtype == dtype
         assert y.tobytes() == out.value.data.tobytes()
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @NORM_CASES
     @pytest.mark.parametrize("consumer", ["gelu", "conv2d", "mul"])
-    def test_consumer_gradients_match_kept_output(self, dtype, consumer):
+    def test_consumer_gradients_match_kept_output(self, mode, dtype, consumer):
         consumers = {
             "gelu": lambda n, v: ag.gelu(n),
             "conv2d": lambda n, v: ag.conv2d(n, v["w"]),
@@ -249,7 +275,8 @@ class TestNormRemat:
         def grads(remat):
             tape = Tape()
             v = self._leaves(tape, np.random.default_rng(3), dtype)
-            n = ag.batchnorm2d(v["x"], v["s"], v["b"], mode="batch")
+            n = self._norm(v, mode)
+            assert n.remat is not None
             if not remat:
                 n.remat = None  # the consumer keeps y itself
             out = consumers[consumer](n, v)
@@ -350,21 +377,19 @@ class TestPerOpGradients:
             dict(x=rng.normal(size=(2, 4, 5, 5))),
         )
 
-    def test_batchnorm_batch_mode(self, rng):
-        check_op_grads(
-            lambda v: ag.batchnorm2d(v["x"], v["s"], v["b"], mode="batch"),
-            dict(x=rng.normal(size=(2, 3, 4, 4)), s=rng.normal(size=3),
-                 b=rng.normal(size=3)),
-            tol=1e-5,
+    @pytest.mark.parametrize("frozen", ["", "s", "b", "sb"],
+                             ids=["learnable", "frozen-scale", "frozen-shift", "frozen-both"])
+    @pytest.mark.parametrize("mode", ["batch", "running"])
+    def test_batchnorm(self, rng, mode, frozen):
+        arrays = dict(x=rng.normal(size=(2, 3, 4, 4)), s=rng.normal(size=3), b=rng.normal(size=3))
+        stats = {} if mode == "batch" else dict(
+            mean=Tensor(rng.normal(size=3)), var=Tensor(rng.uniform(0.5, 2.0, size=3)))
+        const = {k: Tensor(arrays.pop(k)) for k in frozen}  # enter the tape as constants
+        grads = check_op_grads(
+            lambda v: ag.batchnorm2d(*({**v, **const}[k] for k in "xsb"), mode=mode, **stats),
+            arrays, tol=1e-5 if mode == "batch" else 1e-6,
         )
-
-    def test_batchnorm_running_mode(self, rng):
-        x, s, b = rng.normal(size=(2, 3, 4, 4)), rng.normal(size=3), rng.normal(size=3)
-        m, v2 = Tensor(rng.normal(size=3)), Tensor(rng.uniform(0.5, 2.0, size=3))
-        check_op_grads(
-            lambda v: ag.batchnorm2d(v["x"], v["s"], v["b"], mode="running", mean=m, var=v2),
-            dict(x=x, s=s, b=b),
-        )
+        assert set(grads) == set(arrays)
 
     def test_gelu(self, rng):
         check_op_grads(lambda v: ag.gelu(v["x"]), dict(x=rng.normal(size=(1, 2, 5, 5))))

@@ -327,6 +327,20 @@ class TestBatchnorm:
         expected = batchnorm_naive(x.data, scale.data, shift.data)
         np.testing.assert_allclose(y.data, expected, rtol=1e-4, atol=1e-5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_running_mode_on_batch_statistics_is_batch_mode(self, rng, dtype):
+        # One formula: handed the batch's own statistics, running mode
+        # rounds exactly as batch mode does.
+        x, scale, shift = (rng.normal(size=s).astype(dtype) for s in ((2, 3, 5, 4), 3, 3))
+        mean = x.sum(axis=(0, 2, 3)) / 40
+        d = x - mean[None, :, None, None]
+        var = np.einsum("nchw,nchw->c", d, d) / 40
+        args = (Tensor(x), Tensor(scale), Tensor(shift))
+        batch = ops.batchnorm2d(*args, mode="batch")
+        running = ops.batchnorm2d(*args, mode="running", mean=Tensor(mean), var=Tensor(var))
+        assert running.dtype == dtype
+        assert running.data.tobytes() == batch.data.tobytes()
+
     def test_degenerate_input_rejected(self):
         x = Tensor(np.zeros((1, 2, 0, 4), dtype=np.float32))
         with pytest.raises(DegenerateInputError):
