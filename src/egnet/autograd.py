@@ -452,12 +452,10 @@ def dropout(x, rate: float, rng=None):
     tape = _tape_of(x)
     if tape is None:
         return ops.dropout(x, rate, rng)
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if rng is None or rate == 0.0:
+    xa, dtype = x.value.data, x.value.dtype
+    keep = ops._dropout_keep(xa.shape, rate, rng)
+    if keep is None:
         return x  # the identity, bit-exact
-    xa = x.value.data
-    keep, dtype = ops._dropout_keep(xa.shape, rate, rng), xa.dtype
 
     def vjp(g, _):
         return (g * ops._dropout_mask(keep, rate, dtype),)
@@ -557,17 +555,20 @@ def finite_diff_check(
     ``loss_fn`` maps an override dict ``{name: array}`` to a float loss and
     must be a pure function of the parameter values.  For each parameter
     tensor a random subsample of coordinates (all of them when the tensor
-    is small) is perturbed by ``+/- eps``.  If ``loss_fn`` also has a
-    ``losses(name, values)`` method, it evaluates all probes of one tensor
-    at once: it gets an iterator of values for ``name`` (one buffer,
-    mutated between draws) and returns their losses in order.  This path
-    is the independent oracle: it never touches the tape.
+    is small) is perturbed by ``+/- eps``.  All probes of one tensor go
+    through one ``losses(name, values)`` call: it gets an iterator of
+    values for ``name`` (one buffer, mutated between draws) and returns
+    their losses in order.  ``loss_fn.losses`` is used when it exists (it
+    may evaluate the probes together); otherwise ``loss_fn`` is called on
+    each value in turn.  This check is the independent oracle: it never
+    touches the tape.
     """
     _check_fd_settings(eps, coords_per_tensor)
     rng = np.random.default_rng(seed)
     report = GradReport(eps=eps, dtype=str(next(iter(params.values())).dtype) if params else "float64",
                         coords_per_tensor=coords_per_tensor)
-    batched = getattr(loss_fn, "losses", None)
+    losses = getattr(loss_fn, "losses", None) or (
+        lambda name, probes: [loss_fn({name: w}) for w in probes])
     for name, base in params.items():
         base = np.asarray(base, dtype=np.float64)
         ana = analytic.get(name)
@@ -582,11 +583,7 @@ def finite_diff_check(
             coords = np.arange(size)
         else:
             coords = rng.choice(size, size=coords_per_tensor, replace=False)
-        probes = _probe_values(base.copy(), coords, eps)
-        if batched is not None:
-            values = np.asarray(batched(name, probes), dtype=np.float64)
-        else:
-            values = np.array([loss_fn({name: work}) for work in probes], dtype=np.float64)
+        values = np.asarray(losses(name, _probe_values(base.copy(), coords, eps)), dtype=np.float64)
         lo_hi, lo_lo = values[0::2], values[1::2]
         bad = ~(np.isfinite(lo_hi) & np.isfinite(lo_lo))
         if bad.any():

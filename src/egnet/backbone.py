@@ -341,7 +341,7 @@ def _peek(x) -> Tensor:
     return x.value if hasattr(x, "value") else x
 
 
-def _norm(x, pview, prefix, cfg, mode):
+def _norm(x, pview, prefix, mode):
     if mode.stats == "batch":
         return pview.ops.batchnorm2d(
             x, pview(prefix + ".scale"), pview(prefix + ".shift"), mode="batch"
@@ -352,9 +352,9 @@ def _norm(x, pview, prefix, cfg, mode):
     )
 
 
-def _an(x, pview, prefix, cfg, mode):
+def _an(x, pview, prefix, mode):
     # Norm first, then GELU.
-    return pview.ops.gelu(_norm(x, pview, prefix, cfg, mode))
+    return pview.ops.gelu(_norm(x, pview, prefix, mode))
 
 
 def _edge_attention(F, x, sx, sy):
@@ -392,10 +392,10 @@ def drfd_forward(x, pview, prefix, cfg, mode):
     if h % 2 or w % 2:
         raise DimensionError(f"DRFD needs even spatial dims, got {h}x{w}", axis="h")
     cpath = F.conv2d(x, pview(prefix + ".conv3"), stride=2)
-    cpath = _norm(cpath, pview, prefix + ".norm_conv.norm", cfg, mode)
+    cpath = _norm(cpath, pview, prefix + ".norm_conv.norm", mode)
     ppath = F.conv2d(F.maxpool2d(x), pview(prefix + ".conv1"))
-    ppath = _norm(ppath, pview, prefix + ".norm_pool.norm", cfg, mode)
-    return _an(F.add(cpath, ppath), pview, prefix + ".an.norm", cfg, mode)
+    ppath = _norm(ppath, pview, prefix + ".norm_pool.norm", mode)
+    return _an(F.add(cpath, ppath), pview, prefix + ".an.norm", mode)
 
 
 def log_stem_forward(x, pview, cfg, mode):
@@ -406,62 +406,60 @@ def log_stem_forward(x, pview, cfg, mode):
         raise DimensionError(f"stem needs spatial dims divisible by 4, got {h}x{w}", axis="h")
     t = F.conv2d(x, pview("stem.conv7"))
     t = F.depthwise_conv2d(t, pview("fixed.log7"), padding=ops.REPLICATE)
-    t = _an(t, pview, "stem.an_log.norm", cfg, mode)
-    f_log = _norm(F.add(x, t), pview, "stem.res.norm", cfg, mode)
+    t = _an(t, pview, "stem.an_log.norm", mode)
+    f_log = _norm(F.add(x, t), pview, "stem.res.norm", mode)
     t = F.conv2d(f_log, pview("stem.conv3"))
     f1 = F.conv2d(t, pview("stem.convd3"), stride=2)
     t = F.depthwise_conv2d(f1, pview("fixed.gauss9_s05"), padding=ops.REPLICATE)
-    t = _norm(F.add(t, f1), pview, "stem.mid.norm", cfg, mode)
+    t = _norm(F.add(t, f1), pview, "stem.mid.norm", mode)
     t = F.depthwise_conv2d(t, pview("fixed.gauss5_s05"), padding=ops.REPLICATE)
     return drfd_forward(t, pview, "stem.drfd", cfg, mode)
 
 
-def conv_block_forward(x, pview, prefix, cfg, mode):
+def conv_block_forward(x, pview, prefix, mode):
     """1x1 conv, AN, depthwise 3x3, AN, 1x1 conv, norm; width stays fixed."""
     F = pview.ops
     t = F.conv2d(x, pview(prefix + ".c1"))
-    t = _an(t, pview, prefix + ".an1.norm", cfg, mode)
+    t = _an(t, pview, prefix + ".an1.norm", mode)
     t = F.depthwise_conv2d(t, pview(prefix + ".c3"))
-    t = _an(t, pview, prefix + ".an2.norm", cfg, mode)
+    t = _an(t, pview, prefix + ".an2.norm", mode)
     t = F.conv2d(t, pview(prefix + ".c2"))
-    return _norm(t, pview, prefix + ".out.norm", cfg, mode)
+    return _norm(t, pview, prefix + ".out.norm", mode)
 
 
-def _stage_attention(x, stage, pview, cfg):
+def _stage_attention(x, stage, pview):
     if not 1 <= stage <= 4:
         raise ConfigError(f"stage must be in 1..4, got {stage}")
-    if cfg.attention_kinds[stage - 1] == "edge":
+    if BackboneConfig.attention_kinds[stage - 1] == "edge":
         return _edge_attention(pview.ops, x, pview("fixed.scharr_x"), pview("fixed.scharr_y"))
     return _gaussian_attention(pview.ops, x, pview("fixed.gauss5_s10"))
 
 
-def ega_forward(x, stage, pview, prefix, cfg, mode):
+def ega_forward(x, stage, pview, prefix, mode):
     """Edge/Gaussian attention fused with the input through a conv block."""
     F = pview.ops
-    a = _stage_attention(x, stage, pview, cfg)
-    fa = conv_block_forward(F.add(x, a), pview, prefix + ".convblock", cfg, mode)
+    a = _stage_attention(x, stage, pview)
+    fa = conv_block_forward(F.add(x, a), pview, prefix + ".convblock", mode)
     return F.conv2d(F.add(F.mul(x, fa), x), pview(prefix + ".conv3"))
 
 
-def leg_module_forward(x, stage, pview, prefix, cfg, mode):
+def leg_module_forward(x, stage, pview, prefix, mode):
     """EGA features gated per channel (ECA) and folded back onto the input."""
     F = pview.ops
-    f_ega = ega_forward(x, stage, pview, prefix + ".ega", cfg, mode)
+    f_ega = ega_forward(x, stage, pview, prefix + ".ega", mode)
     gates = F.sigmoid(F.conv1d_channels(F.global_avg_pool(f_ega), pview(prefix + ".eca.w")))
-    return _norm(
-        F.add(F.scale_channels(f_ega, gates), x), pview, prefix + ".leg.norm", cfg, mode
-    )
+    return _norm(F.add(F.scale_channels(f_ega, gates), x), pview, prefix + ".leg.norm", mode)
 
 
 def leg_block_forward(x, stage, pview, prefix, cfg, mode):
     """Shape-preserving block: LEG module, 1x1 expand/reduce, dropout, residual."""
     F = pview.ops
-    t = leg_module_forward(x, stage, pview, prefix, cfg, mode)
+    t = leg_module_forward(x, stage, pview, prefix, mode)
     t = F.conv2d(t, pview(prefix + ".expand"))
-    t = _an(t, pview, prefix + ".an.norm", cfg, mode)
+    t = _an(t, pview, prefix + ".an.norm", mode)
     t = F.conv2d(t, pview(prefix + ".reduce"))
     t = F.dropout(t, cfg.dropout_rate, rng=mode.dropout_rng(prefix))
-    t = _norm(t, pview, prefix + ".out.norm", cfg, mode)
+    t = _norm(t, pview, prefix + ".out.norm", mode)
     return F.add(x, t)
 
 
@@ -493,7 +491,7 @@ def _pyramid_forward(x, pview, cfg, mode, trace=None, skip_blocks=False):
     for prefix, stage, tap in _segments(cfg, skip_blocks):
         if trace is not None and ".b" in prefix:
             # The block's own attention map: the same op on its input.
-            trace[prefix + ".ega.attention"] = _peek(_stage_attention(t, stage, pview, cfg))
+            trace[prefix + ".ega.attention"] = _peek(_stage_attention(t, stage, pview))
         t = _segment_forward(t, prefix, stage, pview, cfg, mode)
         if tap:
             levels.append(t)
@@ -611,10 +609,8 @@ class _StackedOps:
 
     @staticmethod
     def dropout(x, rate, rng=None):
-        if rng is None or rate == 0.0:
-            return x
         keep = ops._dropout_keep(x.shape[:4], rate, rng)
-        return x * ops._dropout_mask(keep, rate, x.dtype)[..., None]
+        return x if keep is None else x * ops._dropout_mask(keep, rate, x.dtype)[..., None]
 
     @staticmethod
     def batchnorm2d(x, scale, shift, *, mode):
@@ -764,13 +760,12 @@ def backbone_gradcheck(
     _check_input(x.shape)
     m64 = model.astype(np.float64)
     x64 = x.astype(np.float64)
-    cfg = m64.config
     mode = Mode(stats="batch", dropout_seed=seed)
 
     tape = Tape()
     pview = ParamView(m64, tape=tape)
     xv = tape.leaf(x64, name="input")
-    pyramid = _pyramid_forward(xv, pview, cfg, mode)
+    pyramid = _pyramid_forward(xv, pview, m64.config, mode)
     loss = _pyramid_loss(pyramid.levels)
     analytic = ag.backward(loss)
 

@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--weights")
     src.add_argument("--variant", choices=("tiny", "small"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)  # --variant only; 0 when unset
 
     p = sub.add_parser("kernels", help="print (and optionally dump) a fixed kernel")
     p.add_argument("--type", required=True, choices=("gaussian", "log", "scharr"))
@@ -96,11 +96,14 @@ def _cmd_init(args) -> int:
 
 def _cmd_summary(args) -> int:
     if args.weights:
+        if args.seed is not None:
+            raise ConfigError("--seed applies to --variant only; with --weights it decides nothing")
         model = load_weights(args.weights)
         print(f"source weights={args.weights}")
     else:
-        model = build_model(BackboneConfig.for_variant(args.variant), seed=args.seed)
-        print(f"source variant={args.variant} seed={args.seed}")
+        seed = args.seed or 0
+        model = build_model(BackboneConfig.for_variant(args.variant), seed=seed)
+        print(f"source variant={args.variant} seed={seed}")
     cfg = model.config
     print(
         f"config variant={cfg.variant} width={cfg.width} "

@@ -496,15 +496,19 @@ def dropout(x, rate: float, rng=None) -> Tensor:
     are scaled by ``1/(1-rate)``; the mask comes from the generator, so a
     run seed reproduces it exactly.
     """
+    xa = _data(x)
+    keep = _dropout_keep(xa.shape, rate, rng)
+    if keep is None:
+        return x if isinstance(x, Tensor) else Tensor(xa)
+    return Tensor._wrap(xa * _dropout_mask(keep, rate, xa.dtype))
+
+
+def _dropout_keep(shape, rate, rng) -> np.ndarray | None:
+    """Checks ``rate``; survivors drawn from ``rng``, or None where dropout is the identity."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if rng is None or rate == 0.0:
-        return x if isinstance(x, Tensor) else Tensor(_data(x))
-    xa = _data(x)
-    return Tensor._wrap(xa * _dropout_mask(_dropout_keep(xa.shape, rate, rng), rate, xa.dtype))
-
-
-def _dropout_keep(shape, rate, rng) -> np.ndarray:
+        return None
     return rng.random(shape) >= rate
 
 

@@ -377,8 +377,9 @@ class TestPerOpGradients:
             dict(x=rng.normal(size=(2, 4, 5, 5))),
         )
 
-    @pytest.mark.parametrize("frozen", ["", "s", "b", "sb"],
-                             ids=["learnable", "frozen-scale", "frozen-shift", "frozen-both"])
+    @pytest.mark.parametrize("frozen", ["", "s", "b", "sb", "x"],
+                             ids=["learnable", "frozen-scale", "frozen-shift", "frozen-both",
+                                  "constant-input"])
     @pytest.mark.parametrize("mode", ["batch", "running"])
     def test_batchnorm(self, rng, mode, frozen):
         arrays = dict(x=rng.normal(size=(2, 3, 4, 4)), s=rng.normal(size=3), b=rng.normal(size=3))
@@ -686,6 +687,11 @@ class TestFiniteDiffCheckApi:
         with pytest.raises(ConfigError):
             finite_diff_check(lambda overrides: 0.0, {"p": np.ones(3)}, {"p": np.zeros(3)},
                               **settings)
+
+    def test_rejects_analytic_gradient_of_wrong_shape(self):
+        with pytest.raises(VerificationError) as err:
+            finite_diff_check(lambda overrides: 0.0, {"p": np.ones(3)}, {"p": np.zeros(4)})
+        assert err.value.param == "p"
 
     def test_batched_loss_reports_first_bad_coordinate_in_sample_order(self):
         sample = np.random.default_rng(0).choice(50, size=20, replace=False)

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from egnet import autograd as ag
+from egnet import backbone as bb
 from egnet import ops
 from egnet.backbone import (
     BackboneConfig,
+    FeaturePyramid,
     Mode,
+    Param,
     ParamView,
     backbone_forward,
     build_model,
@@ -21,7 +25,7 @@ from egnet.backbone import (
     log_stem_forward,
     param_breakdown,
 )
-from egnet.errors import ConfigError, DimensionError
+from egnet.errors import ConfigError, ContractError, DimensionError
 from egnet.kernels import gaussian_kernel
 from egnet.tensor import Tensor
 
@@ -59,6 +63,38 @@ class TestConfig:
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
             BackboneConfig.for_variant("base")
+
+
+class TestContractErrors:
+    def test_unknown_init(self):
+        with pytest.raises(ConfigError):
+            Param("p", Tensor(np.zeros(2, dtype=np.float32)), "uniform")
+
+    def test_override_of_wrong_shape(self):
+        with pytest.raises(DimensionError):
+            tiny().with_values({"stem.conv7": np.zeros((3, 3, 5, 5), dtype=np.float32)})
+
+    def test_pyramid_of_three_levels(self):
+        with pytest.raises(ContractError):
+            FeaturePyramid((1, 2, 3))
+
+    @pytest.mark.parametrize("kwargs", [dict(stats="train"), dict(dropout_seed=-1)],
+                             ids=["stats", "dropout-seed"])
+    def test_bad_mode(self, kwargs):
+        with pytest.raises(ConfigError):
+            Mode(**kwargs)
+
+    def test_fd_loss_needs_batch_statistics(self, rng):
+        x = Tensor(rng.normal(size=(1, 3, 32, 32)))
+        with pytest.raises(ContractError):
+            bb._FDLoss(tiny().astype(np.float64), x, Mode())
+
+    def test_gradcheck_rejects_fd_loss_that_diverges_from_tape(self, rng, monkeypatch):
+        taped = bb._pyramid_loss
+        monkeypatch.setattr(bb, "_pyramid_loss", lambda levels: ag.scale(taped(levels), 2.0))
+        x = Tensor(rng.normal(size=(1, 3, 32, 32)).astype(np.float32))
+        with pytest.raises(ContractError, match="diverges"):
+            bb.backbone_gradcheck(tiny(), x, coords_per_tensor=1)
 
 
 class TestEcaKernelSize:
@@ -174,21 +210,20 @@ class TestConvBlock:
     def test_zero_input_zero_output_in_inference(self):
         m = tiny()
         x = Tensor(np.zeros((1, 32, 8, 8), dtype=np.float32))
-        out = conv_block_forward(x, ParamView(m), "s1.b1.ega.convblock", m.config, Mode())
+        out = conv_block_forward(x, ParamView(m), "s1.b1.ega.convblock", Mode())
         np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
     def test_shape_preserved(self, rng):
         m = small()
         x = Tensor(rng.normal(size=(1, 64, 32, 32)).astype(np.float32))
-        out = conv_block_forward(x, ParamView(m), "s1.b1.ega.convblock", m.config, Mode())
+        out = conv_block_forward(x, ParamView(m), "s1.b1.ega.convblock", Mode())
         assert out.shape == x.shape
 
     def test_matches_straight_line_composition(self, rng):
         m = tiny()
-        cfg = m.config
         x = Tensor(rng.normal(size=(2, 32, 8, 8)).astype(np.float32))
         mode = Mode(stats="batch")
-        got = conv_block_forward(x, ParamView(m), "s1.b1.ega.convblock", cfg, mode)
+        got = conv_block_forward(x, ParamView(m), "s1.b1.ega.convblock", mode)
 
         P = {n: p.value for n, p in m.params.items()}
         pre = "s1.b1.ega.convblock"
@@ -211,8 +246,8 @@ class TestEga:
     def test_gaussian_stages_agree(self, rng):
         m = tiny()
         x = Tensor(rng.normal(size=(1, 64, 8, 8)).astype(np.float32))
-        a = ega_forward(x, 2, ParamView(m), "s2.b1.ega", m.config, Mode())
-        b = ega_forward(x, 3, ParamView(m), "s2.b1.ega", m.config, Mode())
+        a = ega_forward(x, 2, ParamView(m), "s2.b1.ega", Mode())
+        b = ega_forward(x, 3, ParamView(m), "s2.b1.ega", Mode())
         assert a.data.tobytes() == b.data.tobytes()
 
     def test_stage1_uses_edge_attention(self, rng):
@@ -227,7 +262,7 @@ class TestEga:
     def test_zero_input_with_zero_final_conv(self):
         m = tiny().with_values({"s1.b1.ega.conv3": np.zeros((32, 32, 3, 3), dtype=np.float32)})
         x = Tensor(np.zeros((1, 32, 8, 8), dtype=np.float32))
-        out = ega_forward(x, 1, ParamView(m), "s1.b1.ega", m.config, Mode())
+        out = ega_forward(x, 1, ParamView(m), "s1.b1.ega", Mode())
         np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
         # A zero image reaches the first block as zeros.
         trace = {}
@@ -244,7 +279,7 @@ class TestEga:
             }
         )
         x = Tensor(rng.normal(size=(1, 32, 8, 8)).astype(np.float32))
-        got = ega_forward(x, 1, ParamView(m), "s1.b1.ega", m.config, Mode())
+        got = ega_forward(x, 1, ParamView(m), "s1.b1.ega", Mode())
         expected = ops.conv2d(
             Tensor(2.0 * x.data), m.params["s1.b1.ega.conv3"].value
         )
@@ -254,7 +289,7 @@ class TestEga:
         m = tiny()
         x = Tensor(rng.normal(size=(1, 32, 8, 8)).astype(np.float32))
         with pytest.raises(ConfigError):
-            ega_forward(x, 5, ParamView(m), "s1.b1.ega", m.config, Mode())
+            ega_forward(x, 5, ParamView(m), "s1.b1.ega", Mode())
 
 
 class TestLegModule:
@@ -262,7 +297,7 @@ class TestLegModule:
         # gates are sigmoids; reconstruct them from the module's definition
         m = tiny()
         x = Tensor(rng.normal(size=(1, 32, 8, 8)).astype(np.float32))
-        f_ega = ega_forward(x, 1, ParamView(m), "s1.b1.ega", m.config, Mode(stats="batch"))
+        f_ega = ega_forward(x, 1, ParamView(m), "s1.b1.ega", Mode(stats="batch"))
         gates = ops.sigmoid(
             ops.conv1d_channels(ops.global_avg_pool(f_ega), m.params["s1.b1.eca.w"].value)
         )
@@ -272,7 +307,7 @@ class TestLegModule:
         m = tiny().with_values({"s1.b1.ega.conv3": np.zeros((32, 32, 3, 3), dtype=np.float32)})
         x = Tensor(rng.normal(size=(1, 32, 8, 8)).astype(np.float32))
         mode = Mode(stats="batch")
-        got = leg_module_forward(x, 1, ParamView(m), "s1.b1", m.config, mode)
+        got = leg_module_forward(x, 1, ParamView(m), "s1.b1", mode)
         expected = ops.batchnorm2d(
             x, m.params["s1.b1.leg.norm.scale"].value, m.params["s1.b1.leg.norm.shift"].value,
             mode="batch",
@@ -282,7 +317,7 @@ class TestLegModule:
     def test_shape_preserved(self, rng):
         m = tiny()
         x = Tensor(rng.normal(size=(1, 128, 16, 16)).astype(np.float32))
-        out = leg_module_forward(x, 3, ParamView(m), "s3.b2", m.config, Mode())
+        out = leg_module_forward(x, 3, ParamView(m), "s3.b2", Mode())
         assert out.shape == (1, 128, 16, 16)
 
 

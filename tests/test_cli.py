@@ -223,6 +223,26 @@ class TestErrorSurface:
         assert captured.out == ""
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("seed", ["0", "-7"])
+    def test_summary_seed_with_weights_is_one_error_line(self, seed, tiny_weights, capsys):
+        # A weight file holds every value; the seed would decide nothing.
+        rc = main(["summary", "--weights", tiny_weights, "--seed", seed])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert re.fullmatch(r'error category=config message="[^"\n]*"\n', captured.err)
+        assert captured.out == ""
+
+    def test_malformed_raw_tensor_image_is_one_error_line(self, tiny_weights, tmp_path, capsys):
+        path = tmp_path / "bad.rt"
+        path.write_bytes(b'{"shape":[1,3,32,32],"dtype":"f16","order":"nchw"}\n' + bytes(6144))
+        rc = main(["features", "--weights", tiny_weights, "--image", str(path),
+                   "--out-dir", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert re.fullmatch(r'error category=parse message="[^"\n]*"\n', captured.err)
+        assert captured.out == ""
+        assert not os.path.exists(tmp_path / "o")
+
     @pytest.mark.parametrize(
         "args, category",
         [(["--size", "0"], "shape"), (["--size", "-32"], "shape"),

@@ -113,6 +113,8 @@ def test_raw_tensor_input_must_be_image_shaped(tmp_path):
         (b"P5\n4 4\n255\n", np.zeros((4, 4, 3), dtype=np.uint8)),          # wrong magic
         (b"P6\n4 4\n65535\n", np.zeros((4, 4, 3), dtype=np.uint8)),        # wide maxval
         (b"P6\n4 four\n255\n", np.zeros((4, 4, 3), dtype=np.uint8)),       # non-numeric
+        (b"P6\n4 4", np.zeros((0, 0, 3), dtype=np.uint8)),                  # ends in the header
+        (b"P6\n0 4\n255\n", np.zeros((4, 0, 3), dtype=np.uint8)),         # zero width
     ],
 )
 def test_malformed_headers(tmp_path, header, pixels):
@@ -129,6 +131,11 @@ def test_short_payload(tmp_path):
         fh.write(b"\x00" * 10)
     with pytest.raises(ImageFormatError):
         read_ppm(path)
+
+
+def test_unknown_fit_rejected():
+    with pytest.raises(ImageFormatError):
+        fit_to_multiple(Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32)), "x")
 
 
 def test_crop_smaller_than_multiple_rejected():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from egnet.errors import DimensionError, ParseError
-from egnet.tensor import Tensor, load_raw_tensor, save_raw_tensor
+from egnet.errors import ContractError, DimensionError, ParseError
+from egnet.tensor import Tensor, _atomic_write, load_raw_tensor, save_raw_tensor
 
 
 class TestTensor:
@@ -28,6 +28,10 @@ class TestTensor:
     def test_accessors_require_rank4(self):
         with pytest.raises(DimensionError):
             Tensor(np.zeros(3, dtype=np.float32)).c
+
+    def test_rejects_non_numeric_data(self):
+        with pytest.raises(ContractError):
+            Tensor(np.array(["a", "b"]))
 
     def test_default_dtype_is_f32(self):
         assert Tensor([[1, 2], [3, 4]]).dtype == np.float32
@@ -74,6 +78,10 @@ class TestRawTensorFile:
             lambda b: b"not json\n" + b[b.find(b"\n") + 1 :],
             lambda b: b[: b.find(b"\n") + 1] + b[b.find(b"\n") + 1 : -4],  # truncated payload
             lambda b: b.replace(b'"nchw"', b'"nhwc"'),
+            pytest.param(lambda b: b[: b.find(b"\n")], id="no-newline"),
+            pytest.param(lambda b: b.replace(b'"order"', b'"layout"'), id="other-keys"),
+            pytest.param(lambda b: b.replace(b'"f32"', b'"f16"'), id="dtype-f16"),
+            pytest.param(lambda b: b.replace(b"[1,1,2,2]", b"[1,1,2]"), id="bad-shape"),
         ],
     )
     def test_malformed_files_raise(self, tmp_path, mutate):
@@ -85,3 +93,10 @@ class TestRawTensorFile:
         bad.write_bytes(blob)
         with pytest.raises(ParseError):
             load_raw_tensor(str(bad))
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    # A binary file takes no str, so the write itself fails.
+    with pytest.raises(TypeError):
+        _atomic_write(str(tmp_path / "t.rt"), "not bytes")
+    assert list(tmp_path.iterdir()) == []

@@ -145,6 +145,7 @@ MALFORMED = {
     "variant-list": (set_config(variant=["tiny"]), "variant"),
     "config-not-dict": (lambda header: header.update(config=["tiny"]), "variant"),
     "extra-header-key": (lambda header: header.update(comment="x"), "comment"),
+    "extra-entry": (lambda h: h["entries"].append(dict(h["entries"][-1])), "entries"),
 }
 
 
@@ -156,6 +157,28 @@ def test_malformed_config_record_is_one_error_line(edit, needle, model, tmp_path
     with pytest.raises(WeightFormatError, match=needle):
         load_weights(path)
     rc = main(["summary", "--weights", path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert re.fullmatch(r'error category=weights message="[^"\n]*"\n', captured.err)
+    assert captured.out == ""
+
+
+# edit of the file bytes -> a word the error message must contain
+BROKEN_CONTAINER = {
+    "header-past-eof": (lambda blob: blob[:6] + struct.pack("<I", len(blob)) + blob[10:],
+                        "past end"),
+    "header-not-json": (lambda blob: blob[:10] + b"x" + blob[11:], "JSON"),
+}
+
+
+@pytest.mark.parametrize("edit,needle", BROKEN_CONTAINER.values(), ids=BROKEN_CONTAINER.keys())
+def test_broken_container_is_one_error_line(edit, needle, model, tmp_path, capsys):
+    path = tmp_path / "m.legw"
+    save_weights(model, str(path))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(WeightFormatError, match=needle):
+        load_weights(str(path))
+    rc = main(["summary", "--weights", str(path)])
     captured = capsys.readouterr()
     assert rc == 1
     assert re.fullmatch(r'error category=weights message="[^"\n]*"\n', captured.err)
