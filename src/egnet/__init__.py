@@ -20,14 +20,13 @@ from .backbone import (
     edge_attention,
     gaussian_attention,
 )
-from .kernels import KernelSpec, gaussian_kernel, log_kernel, scharr_kernels
+from .kernels import gaussian_kernel, log_kernel, scharr_kernels
 from .tensor import Tensor, load_raw_tensor, save_raw_tensor
 from .weights import load_weights, save_weights
 
 __all__ = [
     "BackboneConfig",
     "FeaturePyramid",
-    "KernelSpec",
     "Mode",
     "Model",
     "Param",

@@ -35,7 +35,7 @@ from . import autograd as ag
 from . import ops
 from .autograd import GradReport, Tape, finite_diff_check
 from .errors import ConfigError, ContractError, DimensionError
-from .kernels import KernelSpec
+from .kernels import gaussian_kernel, log_kernel, scharr_kernels
 from .tensor import DEFAULT_DTYPE, Tensor
 
 VARIANTS = {"tiny": 32, "small": 64}
@@ -200,14 +200,18 @@ class ParamView:
 # Model construction
 # ---------------------------------------------------------------------------
 
-FIXED_KERNEL_SPECS = {
-    "fixed.log7": KernelSpec("log", 7, 1.0),
-    "fixed.gauss9_s05": KernelSpec("gaussian", 9, 0.5),
-    "fixed.gauss5_s05": KernelSpec("gaussian", 5, 0.5),
-    "fixed.gauss5_s10": KernelSpec("gaussian", 5, 1.0),
-    "fixed.scharr_x": KernelSpec("scharr_x"),
-    "fixed.scharr_y": KernelSpec("scharr_y"),
+# Generated once, in float64, and read-only: every model and attention call shares them.
+FIXED_KERNELS = {
+    "fixed.log7": log_kernel(7, 1.0),
+    "fixed.gauss9_s05": gaussian_kernel(9, 0.5),
+    "fixed.gauss5_s05": gaussian_kernel(5, 0.5),
+    "fixed.gauss5_s10": gaussian_kernel(5, 1.0),
+    "fixed.scharr_x": scharr_kernels()[0],
+    "fixed.scharr_y": scharr_kernels()[1],
 }
+for _kernel in FIXED_KERNELS.values():
+    _kernel.setflags(write=False)
+del _kernel
 
 
 def eca_kernel_size(channels: int) -> int:
@@ -250,8 +254,8 @@ def param_specs(config: BackboneConfig) -> list[tuple[str, tuple[int, ...], str]
         norm(prefix + ".norm_pool.norm", 2 * cin)
         norm(prefix + ".an.norm", 2 * cin)
 
-    for name, spec in FIXED_KERNEL_SPECS.items():
-        put(name, (spec.size, spec.size), "fixed_kernel")
+    for name, kernel in FIXED_KERNELS.items():
+        put(name, kernel.shape, "fixed_kernel")
 
     c = config.width
     half = c // 2
@@ -309,7 +313,7 @@ def build_model(config: BackboneConfig, seed: int = 0) -> Model:
             std = math.sqrt(2.0 / math.prod(shape[1:] or shape))
             arr = rng.normal(0.0, std, size=shape)
         elif init == "fixed_kernel":
-            arr = FIXED_KERNEL_SPECS[name].generate()
+            arr = FIXED_KERNELS[name]
         else:
             arr = np.ones(shape) if init == "ones" else np.zeros(shape)
         params[name] = Param(name, Tensor(np.asarray(arr, dtype=DEFAULT_DTYPE)), init)
@@ -342,13 +346,10 @@ def _peek(x) -> Tensor:
 
 
 def _norm(x, pview, prefix, mode):
-    if mode.stats == "batch":
-        return pview.ops.batchnorm2d(
-            x, pview(prefix + ".scale"), pview(prefix + ".shift"), mode="batch"
-        )
+    # Batch statistics ignore the stored mean and var.
     return pview.ops.batchnorm2d(
         x, pview(prefix + ".scale"), pview(prefix + ".shift"),
-        mode="running", mean=pview(prefix + ".mean"), var=pview(prefix + ".var"),
+        mode=mode.stats, mean=pview(prefix + ".mean"), var=pview(prefix + ".var"),
     )
 
 
@@ -369,20 +370,15 @@ def _gaussian_attention(F, x, g5):
 
 def edge_attention(x) -> Tensor:
     """Gradient-magnitude map from the Scharr pair, shape preserving."""
-    if not isinstance(x, Tensor) and not hasattr(x, "value"):
-        x = Tensor(x)
-    dt = _peek(x).dtype
-    sx = FIXED_KERNEL_SPECS["fixed.scharr_x"].generate().astype(dt)
-    sy = FIXED_KERNEL_SPECS["fixed.scharr_y"].generate().astype(dt)
-    return _edge_attention(ag, x, Tensor(sx), Tensor(sy))
+    dt = ag._value(x).dtype  # the dtype the ops compute x in
+    sx, sy = (FIXED_KERNELS[n].astype(dt) for n in ("fixed.scharr_x", "fixed.scharr_y"))
+    return _edge_attention(ag, x, sx, sy)
 
 
 def gaussian_attention(x) -> Tensor:
     """Fixed 5x5 sigma-1 Gaussian smoothing, one kernel shared per channel."""
-    if not isinstance(x, Tensor) and not hasattr(x, "value"):
-        x = Tensor(x)
-    g5 = FIXED_KERNEL_SPECS["fixed.gauss5_s10"].generate().astype(_peek(x).dtype)
-    return _gaussian_attention(ag, x, Tensor(g5))
+    g5 = FIXED_KERNELS["fixed.gauss5_s10"].astype(ag._value(x).dtype)
+    return _gaussian_attention(ag, x, g5)
 
 
 def drfd_forward(x, pview, prefix, cfg, mode):
@@ -613,7 +609,7 @@ class _StackedOps:
         return x if keep is None else x * ops._dropout_mask(keep, rate, x.dtype)[..., None]
 
     @staticmethod
-    def batchnorm2d(x, scale, shift, *, mode):
+    def batchnorm2d(x, scale, shift, *, mode, mean, var):
         m = x.shape[0] * x.shape[2] * x.shape[3]
         d = x - x.sum(axis=(0, 2, 3), keepdims=True) / m
         inv = 1.0 / np.sqrt(np.square(d).sum(axis=(0, 2, 3), keepdims=True) / m + ops.BN_EPS)

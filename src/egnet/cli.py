@@ -25,7 +25,7 @@ from .backbone import (
 )
 from .errors import ConfigError, EgnetError
 from .imageio import NORM_MEAN, NORM_STD, load_image
-from .kernels import KernelSpec, scharr_kernels
+from .kernels import gaussian_kernel, log_kernel, scharr_kernels
 from .tensor import Tensor, save_raw_tensor
 from .weights import load_weights, save_weights
 
@@ -152,7 +152,7 @@ def _cmd_kernels(args) -> int:
         return 0
     size = args.size if args.size is not None else (7 if args.type == "log" else 5)
     sigma = args.sigma if args.sigma is not None else 1.0
-    kernel = KernelSpec(args.type, size, sigma).generate()
+    kernel = (gaussian_kernel if args.type == "gaussian" else log_kernel)(size, sigma)
     print(f"{args.type} {size}x{size} sigma={sigma:g} sum={kernel.sum():.12f}")
     print(_format_matrix(kernel))
     if args.out:

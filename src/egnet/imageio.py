@@ -58,6 +58,8 @@ def read_ppm(path: str) -> np.ndarray:
         raise ImageFormatError(f"only maxval 255 is supported, got {maxval}", offset=end)
     if width < 1 or height < 1:
         raise ImageFormatError(f"bad dimensions {width}x{height}", offset=end)
+    if end == len(blob):
+        raise ImageFormatError("unexpected end of PPM header", offset=end)
     data_start = end + 1  # exactly one whitespace byte after maxval
     expected = width * height * 3
     if len(blob) - data_start < expected:

@@ -10,13 +10,10 @@ constant tensors to themselves.  LoG kernels get a zero-DC adjustment
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-
-KERNEL_KINDS = ("gaussian", "log", "scharr_x", "scharr_y")
 
 _SCHARR_X = np.array(
     [[-3.0, 0.0, 3.0], [-10.0, 0.0, 10.0], [-3.0, 0.0, 3.0]], dtype=np.float64
@@ -72,32 +69,3 @@ def scharr_kernels() -> tuple[np.ndarray, np.ndarray]:
     sx = _SCHARR_X.copy()
     return sx, sx.T.copy()
 
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Parameters of one fixed, non-trainable kernel."""
-
-    kind: str
-    size: int = 3
-    sigma: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise ConfigError(f"unknown kernel kind {self.kind!r}")
-        if self.kind in ("gaussian", "log"):
-            if self.sigma is None:
-                raise ConfigError(f"{self.kind} kernel requires sigma")
-            _check(self.size, self.sigma)
-        else:
-            if self.size != 3:
-                raise ConfigError("scharr kernels are fixed at 3x3")
-            if self.sigma is not None:
-                raise ConfigError("scharr kernels take no sigma")
-
-    def generate(self) -> np.ndarray:
-        if self.kind == "gaussian":
-            return gaussian_kernel(self.size, self.sigma)
-        if self.kind == "log":
-            return log_kernel(self.size, self.sigma)
-        sx, sy = scharr_kernels()
-        return sx if self.kind == "scharr_x" else sy

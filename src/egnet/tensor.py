@@ -164,7 +164,7 @@ def load_raw_tensor(path: str) -> Tensor:
     if (
         not isinstance(shape, list)
         or len(shape) != 4
-        or not all(isinstance(s, int) and s >= 0 for s in shape)
+        or not all(type(s) is int and s >= 0 for s in shape)  # JSON true is an int too
     ):
         raise ParseError(f"bad shape field {shape!r}", offset=0)
     dt = _DTYPE_TAGS[header["dtype"]]

@@ -10,7 +10,7 @@ from egnet import autograd as ag
 from egnet import ops
 from egnet.autograd import Tape, finite_diff_check
 from egnet.backbone import (
-    FIXED_KERNEL_SPECS,
+    FIXED_KERNELS,
     BackboneConfig,
     Mode,
     ParamView,
@@ -210,7 +210,7 @@ class TestTapeMemory:
     def test_frozen_kernel_depthwise_keeps_no_input(self, rng):
         tape = Tape()
         xv = tape.leaf(Tensor(rng.normal(size=(1, 2, 6, 6))), name="x")
-        k = tape.leaf(Tensor(FIXED_KERNEL_SPECS["fixed.scharr_x"].generate()), frozen=True)
+        k = tape.leaf(Tensor(FIXED_KERNELS["fixed.scharr_x"]), frozen=True)
         h = ag.scale(xv, 2.0)
         made = weakref.ref(h.value.data)
         out = ag.depthwise_conv2d(h, k, padding=ops.REPLICATE)
@@ -352,7 +352,7 @@ class TestPerOpGradients:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("padding", [ops.ZERO, ops.REPLICATE])
     def test_depthwise_low_rank_fixed_kernel(self, rng, name, stride, padding):
-        kern = FIXED_KERNEL_SPECS[name].generate()
+        kern = FIXED_KERNELS[name]
         assert ops._low_rank(kern) is not None
         check_op_grads(
             lambda v: ag.depthwise_conv2d(v["x"], kern, stride=stride, padding=padding),
@@ -422,7 +422,7 @@ ADJOINT_KERNELS = {
     "per-channel-3": _KERNEL_RNG.normal(size=(3, 1, 3, 3)),
     "per-channel-5": _KERNEL_RNG.normal(size=(3, 1, 5, 5)),
     "shared-5": _KERNEL_RNG.normal(size=(5, 5)),
-    **{name: spec.generate() for name, spec in FIXED_KERNEL_SPECS.items()},
+    **FIXED_KERNELS,
 }
 
 

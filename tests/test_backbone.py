@@ -26,7 +26,7 @@ from egnet.backbone import (
     param_breakdown,
 )
 from egnet.errors import ConfigError, ContractError, DimensionError
-from egnet.kernels import gaussian_kernel
+from egnet.kernels import gaussian_kernel, log_kernel, scharr_kernels
 from egnet.tensor import Tensor
 
 
@@ -163,6 +163,15 @@ class TestGaussianAttention:
             y = gaussian_attention(x)
             for c in range(3):
                 assert np.abs(y.data[0, c]).max() <= np.abs(x.data[0, c]).max() + 1e-6
+
+
+@pytest.mark.parametrize("attention", [edge_attention, gaussian_attention])
+def test_attention_of_integer_pixels_runs_in_float32(attention):
+    # The kernel takes the dtype the ops compute x in, not the integer one.
+    x = np.arange(64, dtype=np.uint8).reshape(1, 1, 8, 8)
+    y = attention(x)
+    assert y.dtype == np.float32
+    np.testing.assert_array_equal(y.data, attention(Tensor(x.astype(np.float32))).data)
 
 
 class TestStemAndDrfd:
@@ -505,10 +514,25 @@ class TestBuildModel:
         assert 0.7 <= s / 12.7e6 <= 1.3
 
     def test_exactly_six_frozen_kernels(self):
+        sx, sy = scharr_kernels()
+        generated = {
+            "fixed.log7": log_kernel(7, 1.0),
+            "fixed.gauss9_s05": gaussian_kernel(9, 0.5),
+            "fixed.gauss5_s05": gaussian_kernel(5, 0.5),
+            "fixed.gauss5_s10": gaussian_kernel(5, 1.0),
+            "fixed.scharr_x": sx,
+            "fixed.scharr_y": sy,
+        }
         for m in (tiny(), small()):
             frozen = [n for n, p in m.params.items() if p.frozen]
-            assert len(frozen) == 6
-            assert all(n.startswith("fixed.") for n in frozen)
+            assert frozen == list(generated)
+            for name, kernel in generated.items():
+                np.testing.assert_array_equal(
+                    m.params[name].value.data, kernel.astype(np.float32), err_msg=name
+                )
+        for kernel in bb.FIXED_KERNELS.values():
+            with pytest.raises(ValueError):
+                kernel[0, 0] = 1.0
 
     def test_norm_layers_start_as_identity(self):
         m = tiny()

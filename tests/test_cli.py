@@ -93,6 +93,12 @@ class TestKernelsCommand:
         assert err.startswith("error category=config ")
         assert err.count("\n") == 1
 
+    def test_scharr_rejects_sigma(self, capsys):
+        assert main(["kernels", "--type", "scharr", "--sigma", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error category=config ")
+        assert err.count("\n") == 1
+
 
 class TestFeaturesCommand:
     def test_pyramid_dump_shapes_and_stats(self, tiny_weights, tmp_path, capsys):
@@ -242,6 +248,19 @@ class TestErrorSurface:
         assert re.fullmatch(r'error category=parse message="[^"\n]*"\n', captured.err)
         assert captured.out == ""
         assert not os.path.exists(tmp_path / "o")
+
+    def test_bool_dimension_in_raw_tensor_image_is_one_error_line(
+        self, tiny_weights, tmp_path, capsys
+    ):
+        # JSON true would pass an isinstance(int) check and reach numpy's reshape.
+        path = tmp_path / "bad.rt"
+        path.write_bytes(b'{"shape":[1,3,true,32],"dtype":"f32","order":"nchw"}\n' + bytes(384))
+        rc = main(["features", "--weights", tiny_weights, "--image", str(path),
+                   "--out-dir", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert re.fullmatch(r'error category=parse message="[^"\n]*"\n', captured.err)
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "args, category",

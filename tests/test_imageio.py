@@ -124,6 +124,14 @@ def test_malformed_headers(tmp_path, header, pixels):
         read_ppm(path)
 
 
+def test_header_ending_at_maxval_is_truncated(tmp_path):
+    path = tmp_path / "cut.ppm"
+    path.write_bytes(b"P6\n1 1\n255")
+    with pytest.raises(ImageFormatError, match="unexpected end of PPM header") as err:
+        read_ppm(str(path))
+    assert err.value.offset == 10
+
+
 def test_short_payload(tmp_path):
     path = str(tmp_path / "short.ppm")
     with open(path, "wb") as fh:

@@ -7,7 +7,7 @@ import pytest
 
 from egnet import ops
 from egnet.errors import ConfigError
-from egnet.kernels import KernelSpec, gaussian_kernel, log_kernel, scharr_kernels
+from egnet.kernels import gaussian_kernel, log_kernel, scharr_kernels
 from egnet.tensor import Tensor
 
 
@@ -132,28 +132,3 @@ class TestScharr:
         np.testing.assert_array_equal(sx[:, ::-1], -sx)  # horizontal flip negates
         np.testing.assert_array_equal(sx[::-1, :], sx)   # vertical flip preserves
 
-
-class TestKernelSpec:
-    def test_generates_each_kind(self):
-        assert KernelSpec("gaussian", 5, 1.0).generate().shape == (5, 5)
-        assert KernelSpec("log", 7, 1.0).generate().shape == (7, 7)
-        np.testing.assert_array_equal(
-            KernelSpec("scharr_x").generate(), scharr_kernels()[0]
-        )
-        np.testing.assert_array_equal(
-            KernelSpec("scharr_y").generate(), scharr_kernels()[1]
-        )
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(kind="boxcar", size=3, sigma=1.0),
-            dict(kind="gaussian", size=4, sigma=1.0),
-            dict(kind="gaussian", size=3, sigma=None),
-            dict(kind="scharr_x", size=5),
-            dict(kind="scharr_y", size=3, sigma=1.0),
-        ],
-    )
-    def test_invalid_specs(self, kwargs):
-        with pytest.raises(ConfigError):
-            KernelSpec(**kwargs)

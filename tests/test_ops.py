@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from egnet import ops
-from egnet.backbone import FIXED_KERNEL_SPECS
+from egnet.backbone import FIXED_KERNELS
 from egnet.errors import (
     ConfigError,
     ContractError,
@@ -174,7 +174,7 @@ def test_replicate_padding_of_an_empty_map_is_a_dimension_error(rng, op, kshape,
     assert err.value.axis == "h"
 
 
-SHARED_KERNELS = {name: spec.generate() for name, spec in FIXED_KERNEL_SPECS.items()}
+SHARED_KERNELS = dict(FIXED_KERNELS)
 SHARED_KERNELS["random5"] = np.random.default_rng(7).normal(size=(5, 5))
 
 

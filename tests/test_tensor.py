@@ -82,6 +82,7 @@ class TestRawTensorFile:
             pytest.param(lambda b: b.replace(b'"order"', b'"layout"'), id="other-keys"),
             pytest.param(lambda b: b.replace(b'"f32"', b'"f16"'), id="dtype-f16"),
             pytest.param(lambda b: b.replace(b"[1,1,2,2]", b"[1,1,2]"), id="bad-shape"),
+            pytest.param(lambda b: b.replace(b"[1,1,2,2]", b"[1,true,2,2]"), id="bool-dim"),
         ],
     )
     def test_malformed_files_raise(self, tmp_path, mutate):
