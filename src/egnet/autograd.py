@@ -552,16 +552,17 @@ def finite_diff_check(
 ) -> GradReport:
     """Compare analytic gradients against central finite differences.
 
-    ``loss_fn`` maps an override dict ``{name: array}`` to a float loss and
-    must be a pure function of the parameter values.  For each parameter
-    tensor a random subsample of coordinates (all of them when the tensor
-    is small) is perturbed by ``+/- eps``.  All probes of one tensor go
-    through one ``losses(name, values)`` call: it gets an iterator of
-    values for ``name`` (one buffer, mutated between draws) and returns
-    their losses in order.  ``loss_fn.losses`` is used when it exists (it
-    may evaluate the probes together); otherwise ``loss_fn`` is called on
-    each value in turn.  This check is the independent oracle: it never
-    touches the tape.
+    ``loss_fn`` is either a per-probe callable, which maps an override
+    dict ``{name: array}`` to a float loss, or an object with a method
+    ``losses(name, values)``; either must be a pure function of the
+    parameter values.  For each parameter tensor a random subsample of
+    coordinates (all of them when the tensor is small) is perturbed by
+    ``+/- eps``.  All probes of one tensor go through one ``losses`` call:
+    it gets an iterator of values for ``name`` (one buffer, mutated
+    between draws) and returns their losses in order.  A callable is
+    called on each value in turn.  The backbone passes the object form,
+    which evaluates the probes together.  This check is the independent
+    oracle: it never touches the tape.
     """
     _check_fd_settings(eps, coords_per_tensor)
     rng = np.random.default_rng(seed)

@@ -305,8 +305,6 @@ def build_model(config: BackboneConfig, seed: int = 0) -> Model:
     rng = np.random.default_rng(seed)
     params: dict[str, Param] = {}
     for name, shape, init in param_specs(config):
-        if name in params:
-            raise ContractError(f"duplicate parameter name {name}")
         if init == "he_normal":
             # fan_in is every axis but the output one; the 1-D ECA kernel
             # is its own fan-in.
@@ -731,11 +729,9 @@ class _FDLoss:
             self._view.probe = None
         return np.concatenate(out) * LOSS_SCALE if out else np.zeros(0)
 
-    def loss(self, overrides: dict) -> float:
+    def __call__(self, overrides: dict) -> float:
         (name, arr), = overrides.items()
         return float(self.losses(name, [arr])[0])
-
-    __call__ = loss
 
 
 def backbone_gradcheck(

@@ -30,19 +30,16 @@ from .tensor import Tensor, save_raw_tensor
 from .weights import load_weights, save_weights
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        print(f'error category=usage message="{message}"', file=sys.stderr)
-        sys.exit(2)
-
-
-def _fail(exc: Exception) -> int:
-    category = getattr(exc, "category", None)
-    if category is None:
-        category = "io" if isinstance(exc, OSError) else "error"
-    message = str(exc).replace('"', "'")
+def _fail(category: str, message) -> int:
+    message = str(message).replace('"', "'")
     print(f'error category={category} message="{message}"', file=sys.stderr)
     return 1
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        _fail("usage", message)
+        sys.exit(2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,10 +225,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except EgnetError as exc:
-        return _fail(exc)
-    except OSError as exc:
-        return _fail(exc)
+    except (EgnetError, OSError) as exc:
+        return _fail(getattr(exc, "category", "io"), exc)
 
 
 if __name__ == "__main__":

@@ -116,7 +116,7 @@ def load_image(path: str, *, fit: str = "pad") -> Tensor:
         x = normalize_pixels(read_ppm(path))
     else:
         x = load_raw_tensor(path)
-        if x.ndim != 4 or x.n != 1 or x.c != 3:
+        if x.shape[:2] != (1, 3):
             raise ImageFormatError(
                 f"raw tensor input must be (1, 3, h, w), got {x.shape}"
             )

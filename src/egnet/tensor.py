@@ -71,39 +71,11 @@ class Tensor:
     def size(self) -> int:
         return self._data.size
 
-    def _axis(self, i: int, name: str) -> int:
-        if self._data.ndim != 4:
-            raise DimensionError(
-                f"axis '{name}' requires a rank-4 NCHW tensor, got rank {self._data.ndim}",
-                axis=name,
-            )
-        return self._data.shape[i]
-
-    @property
-    def n(self) -> int:
-        return self._axis(0, "n")
-
-    @property
-    def c(self) -> int:
-        return self._axis(1, "c")
-
-    @property
-    def h(self) -> int:
-        return self._axis(2, "h")
-
-    @property
-    def w(self) -> int:
-        return self._axis(3, "w")
-
     def astype(self, dtype) -> "Tensor":
         dtype = np.dtype(dtype)
         if dtype == self._data.dtype:
             return self
         return Tensor._wrap(self._data.astype(dtype))
-
-    @classmethod
-    def zeros(cls, shape, dtype=DEFAULT_DTYPE) -> "Tensor":
-        return cls._wrap(np.zeros(shape, dtype=dtype))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self._data.shape}, dtype={self._data.dtype.name})"

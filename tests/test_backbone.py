@@ -24,6 +24,7 @@ from egnet.backbone import (
     leg_module_forward,
     log_stem_forward,
     param_breakdown,
+    param_specs,
 )
 from egnet.errors import ConfigError, ContractError, DimensionError
 from egnet.kernels import gaussian_kernel, log_kernel, scharr_kernels
@@ -95,6 +96,23 @@ class TestContractErrors:
         x = Tensor(rng.normal(size=(1, 3, 32, 32)).astype(np.float32))
         with pytest.raises(ContractError, match="diverges"):
             bb.backbone_gradcheck(tiny(), x, coords_per_tensor=1)
+
+    def test_gradcheck_under_the_benchmark_tracer(self, rng):
+        # The tracer hands finite_diff_check a plain function that calls the
+        # backbone's loss object once per probe, so that object must be callable.
+        import os
+        import sys
+
+        sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+        import spans
+
+        x = Tensor(rng.normal(size=(1, 3, 32, 32)).astype(np.float32))
+        tracer = spans.Tracer()
+        tracer.request = 0
+        with tracer:
+            report = bb.backbone_gradcheck(tiny(), x, coords_per_tensor=1)
+        assert report.passed(1e-4)
+        assert any(rec[0] == "autograd.fd.loss" for rec in tracer.spans)
 
 
 class TestEcaKernelSize:
@@ -486,9 +504,12 @@ class TestBackboneForward:
 
 class TestBuildModel:
     def test_unique_names_and_stable_order(self):
-        m = tiny()
-        names = list(m.params)
-        assert len(names) == len(set(names))
+        # build_model keys its dict by the spec names, so a repeated name
+        # would silently overwrite an earlier parameter.
+        for variant in ("tiny", "small"):
+            specs = [name for name, _, _ in param_specs(BackboneConfig.for_variant(variant))]
+            assert len(specs) == len(set(specs)), variant
+        names = list(tiny().params)
         assert names[:6] == [
             "fixed.log7", "fixed.gauss9_s05", "fixed.gauss5_s05",
             "fixed.gauss5_s10", "fixed.scharr_x", "fixed.scharr_y",
@@ -592,7 +613,7 @@ class TestBatchedProbes:
             fd.CHUNK_ELEMENTS = 5 * fd._inputs[fd._seg_of[name]].size
             values = self.probe_values(m64.params[name].value.data, rng, 12)
             batched = fd.losses(name, iter(values))
-            single = np.array([fd.loss({name: v}) for v in values])
+            single = np.array([fd.losses(name, [v])[0] for v in values])
             np.testing.assert_allclose(batched, single, rtol=1e-9, err_msg=name)
             plain = self.plain_loss(m64, x, mode, name, values[0])
             assert np.isclose(single[0], plain, rtol=1e-9), name
@@ -612,7 +633,7 @@ class TestBatchedProbes:
         fd.CHUNK_ELEMENTS = 5 * fd._inputs[fd._seg_of[name]].size
         values = self.probe_values(m64.params[name].value.data, rng, 7)
         batched = fd.losses(name, iter(values))
-        single = np.array([fd.loss({name: v}) for v in values])
+        single = np.array([fd.losses(name, [v])[0] for v in values])
         np.testing.assert_allclose(batched, single, rtol=1e-9)
         assert np.isclose(single[0], self.plain_loss(m64, x, mode, name, values[0]), rtol=1e-9)
 

@@ -355,6 +355,13 @@ class TestErrorSurface:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error category=usage ")
 
+    def test_usage_error_with_a_quote_is_one_parseable_line(self, capsys, tmp_path):
+        # argparse echoes the bad choice, quote and all
+        with pytest.raises(SystemExit) as exc:
+            main(["init", "--variant", 'ti"ny', "--out", str(tmp_path / "x.legw")])
+        assert exc.value.code == 2
+        assert re.fullmatch(r'error category=usage message="[^"\n]*"\n', capsys.readouterr().err)
+
 
 def test_module_entry_point_version():
     # The child imports the same egnet as this process, however that one

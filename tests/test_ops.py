@@ -370,7 +370,7 @@ class TestElementwise:
 
     def test_add_mul_identities(self, rng):
         x = _t(rng.normal(size=(1, 2, 3, 3)))
-        zeros = Tensor.zeros(x.shape)
+        zeros = Tensor(np.zeros(x.shape, dtype=np.float32))
         np.testing.assert_array_equal(ops.mul(x, zeros).data, zeros.data)
         np.testing.assert_array_equal(ops.add(x, zeros).data, x.data)
 

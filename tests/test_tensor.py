@@ -21,14 +21,6 @@ class TestTensor:
         src[0, 0, 0, 0] = 7.0
         assert t.data[0, 0, 0, 0] == 0.0
 
-    def test_nchw_accessors(self):
-        t = Tensor(np.zeros((2, 3, 4, 5), dtype=np.float32))
-        assert (t.n, t.c, t.h, t.w) == (2, 3, 4, 5)
-
-    def test_accessors_require_rank4(self):
-        with pytest.raises(DimensionError):
-            Tensor(np.zeros(3, dtype=np.float32)).c
-
     def test_rejects_non_numeric_data(self):
         with pytest.raises(ContractError):
             Tensor(np.array(["a", "b"]))
