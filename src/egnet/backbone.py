@@ -548,20 +548,13 @@ def _pyramid_loss(levels) -> object:
     return ag.scale(total, LOSS_SCALE)
 
 
-class _Probes:
-    """Values of the parameter being probed, drawn once, each before the next."""
-
-    def __init__(self, shape, values):
-        self.shape = shape
-        self.values = values
-
-
 def _each(param, op):
-    # op(param); for probed values, op once per value (on the same,
-    # probe-independent operands), stacked on the probe axis.
-    if isinstance(param, _Probes):
-        return np.concatenate([op(np.asarray(v)) for v in param.values], axis=-1)
-    return op(param)
+    # op(param) for an array; for the probed parameter, an iterator of its
+    # values, op once per value (on the same, probe-independent operands),
+    # stacked on the probe axis.
+    if isinstance(param, np.ndarray):
+        return op(param)
+    return np.concatenate([op(np.asarray(v)) for v in param], axis=-1)
 
 
 class _StackedOps:
@@ -619,7 +612,7 @@ class _StackedOps:
         return _each(weight, lambda w: ops._conv2d_raw(x, w, stride, ops.ZERO))
 
     def depthwise_conv2d(self, x, kernel, *, padding=ops.ZERO):
-        if len(kernel.shape) == 4:
+        if not (isinstance(kernel, np.ndarray) and kernel.ndim == 2):
             return _each(kernel, lambda kern: ops._shifted_sum(x, kern[:, 0], 1, padding))
         # One fixed (k, k) kernel for every channel.  On small maps: one
         # matmul with the (hw, hw) operator it induces, built once per map
@@ -636,22 +629,19 @@ class _StackedOps:
         return np.matmul(op, x.reshape(n, c, h * w, P)).reshape(x.shape)
 
 
-class _ProbeView:
-    """The FD loss's parameter view: plain arrays, and the probed values.
+class _ProbeView(dict):
+    """The FD loss's parameter view: name -> plain array, and for the probed
+    name an iterator of its values.
 
     Stands in for :class:`ParamView`: the block functions read parameters
     through it and take their ops from its ``ops``.
     """
 
-    def __init__(self, model: Model):
-        self.ops = _StackedOps()
-        self.arrays = {n: p.value.data for n, p in model.params.items()}
-        self.probe = None  # (name, values) while values of name are evaluated
+    __call__ = dict.__getitem__
 
-    def __call__(self, name: str):
-        if self.probe is not None and self.probe[0] == name:
-            return _Probes(self.arrays[name].shape, self.probe[1])
-        return self.arrays[name]
+    def __init__(self, arrays, ops):
+        super().__init__(arrays)
+        self.ops = ops
 
 
 class _FDLoss:
@@ -679,7 +669,8 @@ class _FDLoss:
             raise ContractError("the FD loss supports batch-statistics mode only")
         self.cfg = model.config
         self.mode = mode
-        self._view = _ProbeView(model)
+        self._ops = _StackedOps()  # its operator cache spans all chunks
+        self._arrays = {n: p.value.data for n, p in model.params.items()}
         self._segments = _segments(self.cfg)
         self._seg_of = {}  # learnable parameter name -> segment index
         for name, _ in model.learnable_items():
@@ -688,19 +679,16 @@ class _FDLoss:
                     self._seg_of[name] = index
         self._inputs = []
         self._prefix_sums = []
+        view = _ProbeView(self._arrays, self._ops)
         t = x.data[..., None]
         acc = 0.0
-        for index, (_, _, tap) in enumerate(self._segments):
+        for prefix, stage, tap in self._segments:
             self._inputs.append(t)
             self._prefix_sums.append(acc)
-            t = self._run(index, t)
+            t = _segment_forward(t, prefix, stage, view, self.cfg, self.mode)
             if tap:
                 acc += float(t.sum())
         self.baseline = acc * LOSS_SCALE
-
-    def _run(self, index, t):
-        prefix, stage, _ = self._segments[index]
-        return _segment_forward(t, prefix, stage, self._view, self.cfg, self.mode)
 
     def losses(self, name: str, probes) -> np.ndarray:
         """Loss for each value of learnable parameter ``name`` drawn from ``probes``.
@@ -714,19 +702,16 @@ class _FDLoss:
         size = max(1, self.CHUNK_ELEMENTS // self._inputs[start].size)
         probes = iter(probes)
         out = []
-        try:
-            for head in probes:
-                chunk = itertools.chain([head], itertools.islice(probes, size - 1))
-                self._view.probe = (name, chunk)
-                t = self._inputs[start]
-                acc = self._prefix_sums[start]
-                for index in range(start, len(self._segments)):
-                    t = self._run(index, t)
-                    if self._segments[index][2]:
-                        acc = acc + t.sum(axis=(0, 1, 2, 3))
-                out.append(acc)
-        finally:
-            self._view.probe = None
+        for head in probes:
+            chunk = itertools.chain([head], itertools.islice(probes, size - 1))
+            view = _ProbeView({**self._arrays, name: chunk}, self._ops)
+            t = self._inputs[start]
+            acc = self._prefix_sums[start]
+            for prefix, stage, tap in self._segments[start:]:
+                t = _segment_forward(t, prefix, stage, view, self.cfg, self.mode)
+                if tap:
+                    acc = acc + t.sum(axis=(0, 1, 2, 3))
+            out.append(acc)
         return np.concatenate(out) * LOSS_SCALE if out else np.zeros(0)
 
     def __call__(self, overrides: dict) -> float:

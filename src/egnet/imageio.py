@@ -17,6 +17,7 @@ from .tensor import DEFAULT_DTYPE, Tensor, load_raw_tensor
 
 NORM_MEAN = (0.485, 0.456, 0.406)
 NORM_STD = (0.229, 0.224, 0.225)
+FIELD_DIGITS = 18  # longest width/height/maxval field read; longer ones are malformed
 
 
 def _tokenize_ppm_header(blob: bytes):
@@ -50,8 +51,8 @@ def read_ppm(path: str) -> np.ndarray:
     end = 0
     for _ in range(3):
         tok, end = next(tokens)
-        if not tok.isdigit():
-            raise ImageFormatError(f"bad PPM header field {tok!r}", offset=end)
+        if not tok.isdigit() or len(tok) > FIELD_DIGITS:
+            raise ImageFormatError(f"bad PPM header field {tok[:FIELD_DIGITS]!r}", offset=end)
         fields.append(int(tok))
     width, height, maxval = fields
     if maxval != 255:

@@ -13,7 +13,9 @@ via :meth:`Tensor.astype`.
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -124,13 +126,13 @@ def load_raw_tensor(path: str) -> Tensor:
         raise ParseError("raw tensor file has no header line", offset=0)
     try:
         header = json.loads(blob[:nl].decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8/JSON, huge ints, deep nesting
         raise ParseError(f"raw tensor header is not valid JSON: {exc}", offset=0) from exc
     if not isinstance(header, dict) or set(header) != {"shape", "dtype", "order"}:
         raise ParseError("raw tensor header must have keys shape/dtype/order", offset=0)
     if header["order"] != "nchw":
         raise ParseError(f"unsupported order {header['order']!r}", offset=0)
-    if header["dtype"] not in _DTYPE_TAGS:
+    if header["dtype"] not in list(_DTYPE_TAGS):  # compared, not hashed: it may be a list
         raise ParseError(f"unsupported dtype tag {header['dtype']!r}", offset=0)
     shape = header["shape"]
     if (
@@ -140,7 +142,9 @@ def load_raw_tensor(path: str) -> Tensor:
     ):
         raise ParseError(f"bad shape field {shape!r}", offset=0)
     dt = _DTYPE_TAGS[header["dtype"]]
-    count = int(np.prod(shape, dtype=np.int64))
+    if math.prod(s for s in shape if s) * dt.itemsize > sys.maxsize:
+        raise ParseError(f"shape {tuple(shape)} is too large for an array", offset=0)
+    count = math.prod(shape)
     expected = nl + 1 + count * dt.itemsize
     if len(blob) != expected:
         raise ParseError(

@@ -117,7 +117,7 @@ def load_weights(path: str) -> Model:
         raise WeightFormatError("header extends past end of file", offset=6)
     try:
         header = json.loads(blob[header_start:payload_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8/JSON, huge ints, deep nesting
         raise WeightFormatError(f"header is not valid JSON: {exc}", offset=header_start) from exc
     record = header.get("config") if isinstance(header, dict) else None
     variant = record.get("variant") if isinstance(record, dict) else None

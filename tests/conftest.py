@@ -1,9 +1,36 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from egnet import ops
+
+
+def _rt(shape, dtype=b'"f32"', payload=b""):
+    return b'{"shape":' + shape + b',"dtype":' + dtype + b',"order":"nchw"}\n' + payload
+
+
+HUGE = b"9" * 4000  # an exact int that str() can print but whose square it cannot
+
+# Whole .rt files whose headers load_raw_tensor must reject with a ParseError.
+MALFORMED_RT = {
+    "side-over-int64": _rt(b"[1,3,99999999999999999999,1]"),
+    "int64-product-wraps": _rt(b"[4294967296,4294967296,1,1]"),
+    "zero-with-side-over-int64": _rt(b"[0,99999999999999999999,1,1]"),
+    "zero-with-huge-sides": _rt(b"[0,3,4611686018427387904,4]"),
+    "sides-of-4000-digits": _rt(b"[1,3," + HUGE + b"," + HUGE + b"]"),
+    "dtype-list": _rt(b"[1,3,4,4]", b'["f32"]', bytes(192)),
+    "dtype-dict": _rt(b"[1,3,4,4]", b'{"a":1}', bytes(192)),
+    "int-over-digit-limit": _rt(b"[1,3," + b"9" * 5000 + b",4]"),
+    "nested-past-recursion-limit": b"[" * 100_000 + b"\n",
+}
+
+
+def assert_error_line(err, category):
+    """``err`` is exactly one ``error category=<category> message="..."`` line."""
+    assert "Traceback" not in err
+    assert re.fullmatch(rf'error category={category} message="[^"\n]*"\n', err), err
 
 
 @pytest.fixture

@@ -2,7 +2,6 @@
 
 import json
 import os
-import re
 import struct
 import subprocess
 import sys
@@ -17,6 +16,8 @@ from egnet.cli import main
 from egnet.kernels import scharr_kernels
 from egnet.tensor import Tensor, load_raw_tensor, save_raw_tensor
 from egnet.weights import save_weights
+
+from conftest import MALFORMED_RT, assert_error_line
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +216,7 @@ class TestErrorSurface:
         rc = main(["features", "--weights", tiny_weights, "--image", path,
                    "--out-dir", str(tmp_path / "o"), "--fit", fit])
         assert rc == 1
-        assert re.fullmatch(r'error category=shape message="[^"\n]*"\n', capsys.readouterr().err)
+        assert_error_line(capsys.readouterr().err, "shape")
 
     @pytest.mark.parametrize("command", ["init", "summary", "gradcheck"])
     def test_negative_seed_is_one_error_line(self, command, tmp_path, capsys):
@@ -225,7 +226,7 @@ class TestErrorSurface:
         rc = main(args)
         captured = capsys.readouterr()
         assert rc == 1
-        assert re.fullmatch(r'error category=config message="[^"\n]*"\n', captured.err)
+        assert_error_line(captured.err, "config")
         assert captured.out == ""
         assert not any(tmp_path.iterdir())
 
@@ -235,17 +236,25 @@ class TestErrorSurface:
         rc = main(["summary", "--weights", tiny_weights, "--seed", seed])
         captured = capsys.readouterr()
         assert rc == 1
-        assert re.fullmatch(r'error category=config message="[^"\n]*"\n', captured.err)
+        assert_error_line(captured.err, "config")
         assert captured.out == ""
 
-    def test_malformed_raw_tensor_image_is_one_error_line(self, tiny_weights, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "blob",
+        [b'{"shape":[1,3,32,32],"dtype":"f16","order":"nchw"}\n' + bytes(6144),
+         *MALFORMED_RT.values()],
+        ids=["dtype-f16", *MALFORMED_RT],
+    )
+    def test_malformed_raw_tensor_image_is_one_error_line(
+        self, blob, tiny_weights, tmp_path, capsys
+    ):
         path = tmp_path / "bad.rt"
-        path.write_bytes(b'{"shape":[1,3,32,32],"dtype":"f16","order":"nchw"}\n' + bytes(6144))
+        path.write_bytes(blob)
         rc = main(["features", "--weights", tiny_weights, "--image", str(path),
                    "--out-dir", str(tmp_path / "o")])
         captured = capsys.readouterr()
         assert rc == 1
-        assert re.fullmatch(r'error category=parse message="[^"\n]*"\n', captured.err)
+        assert_error_line(captured.err, "parse")
         assert captured.out == ""
         assert not os.path.exists(tmp_path / "o")
 
@@ -259,7 +268,7 @@ class TestErrorSurface:
                    "--out-dir", str(tmp_path / "o")])
         captured = capsys.readouterr()
         assert rc == 1
-        assert re.fullmatch(r'error category=parse message="[^"\n]*"\n', captured.err)
+        assert_error_line(captured.err, "parse")
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -284,7 +293,7 @@ class TestErrorSurface:
         rc = main(["gradcheck", "--variant", "tiny", *args])
         captured = capsys.readouterr()
         assert rc == 1
-        assert re.fullmatch(rf'error category={category} message="[^"\n]*"\n', captured.err)
+        assert_error_line(captured.err, category)
         assert captured.out == ""
 
     def test_bad_kernel_config(self, capsys):
@@ -303,7 +312,7 @@ class TestErrorSurface:
         rc = main(["kernels", "--type", *args, "--out", out])
         captured = capsys.readouterr()
         assert rc == 1
-        assert re.fullmatch(r'error category=config message="[^"\n]*"\n', captured.err)
+        assert_error_line(captured.err, "config")
         assert captured.out == ""
         assert not os.path.exists(out)
 
@@ -344,8 +353,7 @@ class TestErrorSurface:
                    "--out-dir", str(tmp_path / "o")])
         captured = capsys.readouterr()
         assert rc == 1
-        assert re.fullmatch(r'error category=weights message="[^"\n]*"\n', captured.err)
-        assert "Traceback" not in captured.err
+        assert_error_line(captured.err, "weights")
         assert captured.out == ""
         assert not os.path.exists(tmp_path / "o")
 
@@ -360,7 +368,7 @@ class TestErrorSurface:
         with pytest.raises(SystemExit) as exc:
             main(["init", "--variant", 'ti"ny', "--out", str(tmp_path / "x.legw")])
         assert exc.value.code == 2
-        assert re.fullmatch(r'error category=usage message="[^"\n]*"\n', capsys.readouterr().err)
+        assert_error_line(capsys.readouterr().err, "usage")
 
 
 def test_module_entry_point_version():

@@ -6,6 +6,8 @@ import pytest
 from egnet.errors import ContractError, DimensionError, ParseError
 from egnet.tensor import Tensor, _atomic_write, load_raw_tensor, save_raw_tensor
 
+from conftest import MALFORMED_RT
+
 
 class TestTensor:
     def test_wraps_and_freezes(self):
@@ -75,6 +77,7 @@ class TestRawTensorFile:
             pytest.param(lambda b: b.replace(b'"f32"', b'"f16"'), id="dtype-f16"),
             pytest.param(lambda b: b.replace(b"[1,1,2,2]", b"[1,1,2]"), id="bad-shape"),
             pytest.param(lambda b: b.replace(b"[1,1,2,2]", b"[1,true,2,2]"), id="bool-dim"),
+            *(pytest.param(lambda b, blob=blob: blob, id=k) for k, blob in MALFORMED_RT.items()),
         ],
     )
     def test_malformed_files_raise(self, tmp_path, mutate):

@@ -15,6 +15,8 @@ from egnet.cli import main
 from egnet.errors import WeightFormatError
 from egnet.weights import ChecksumWarning, load_weights, save_weights
 
+from conftest import assert_error_line
+
 
 @pytest.fixture(scope="module")
 def model():
@@ -159,8 +161,17 @@ def test_malformed_config_record_is_one_error_line(edit, needle, model, tmp_path
     rc = main(["summary", "--weights", path])
     captured = capsys.readouterr()
     assert rc == 1
-    assert re.fullmatch(r'error category=weights message="[^"\n]*"\n', captured.err)
+    assert_error_line(captured.err, "weights")
     assert captured.out == ""
+
+
+def replace_header(edit):
+    # An edit of the whole file that swaps its header bytes for edit(header).
+    def apply(blob):
+        end = 10 + struct.unpack_from("<I", blob, 6)[0]
+        header = edit(blob[10:end])
+        return blob[:6] + struct.pack("<I", len(header)) + header + blob[end:]
+    return apply
 
 
 # edit of the file bytes -> a word the error message must contain
@@ -168,6 +179,9 @@ BROKEN_CONTAINER = {
     "header-past-eof": (lambda blob: blob[:6] + struct.pack("<I", len(blob)) + blob[10:],
                         "past end"),
     "header-not-json": (lambda blob: blob[:10] + b"x" + blob[11:], "JSON"),
+    "header-int-over-digit-limit": (
+        replace_header(lambda h: h.replace(b'"offset":0', b'"offset":' + b"9" * 5000, 1)), "JSON"),
+    "header-nested-past-recursion-limit": (replace_header(lambda h: b"[" * 100_000), "JSON"),
 }
 
 
@@ -181,7 +195,7 @@ def test_broken_container_is_one_error_line(edit, needle, model, tmp_path, capsy
     rc = main(["summary", "--weights", str(path)])
     captured = capsys.readouterr()
     assert rc == 1
-    assert re.fullmatch(r'error category=weights message="[^"\n]*"\n', captured.err)
+    assert_error_line(captured.err, "weights")
     assert captured.out == ""
 
 
