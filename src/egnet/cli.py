@@ -9,12 +9,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__
 from .autograd import _check_fd_settings
 from .backbone import (
+    VARIANTS,
     BackboneConfig,
     Mode,
     _check_input,
@@ -27,13 +29,25 @@ from .errors import ConfigError, EgnetError
 from .imageio import NORM_MEAN, NORM_STD, load_image
 from .kernels import gaussian_kernel, log_kernel, scharr_kernels
 from .tensor import Tensor, save_raw_tensor
-from .weights import load_weights, save_weights
+from .weights import ChecksumWarning, load_weights, save_weights
+
+MESSAGE_CHARS = 512  # longest message printed; a longer one keeps a prefix and "..."
+
+
+def _report(kind: str, category: str, message) -> None:
+    message = str(message).replace('"', "'")
+    if len(message) > MESSAGE_CHARS:
+        message = message[: MESSAGE_CHARS - 3] + "..."
+    print(f'{kind} category={category} message="{message}"', file=sys.stderr)
 
 
 def _fail(category: str, message) -> int:
-    message = str(message).replace('"', "'")
-    print(f'error category={category} message="{message}"', file=sys.stderr)
+    _report("error", category, message)
     return 1
+
+
+def _warn(message, cls, *_) -> None:  # as warnings.showwarning
+    _report("warning", "weights" if issubclass(cls, ChecksumWarning) else "runtime", message)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,14 +62,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("init", help="build a seeded model and write a weight file")
-    p.add_argument("--variant", required=True, choices=("tiny", "small"))
+    p.add_argument("--variant", required=True, choices=tuple(VARIANTS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("summary", help="print config and parameter counts")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--weights")
-    src.add_argument("--variant", choices=("tiny", "small"))
+    src.add_argument("--variant", choices=tuple(VARIANTS))
     p.add_argument("--seed", type=int)  # --variant only; 0 when unset
 
     p = sub.add_parser("kernels", help="print (and optionally dump) a fixed kernel")
@@ -73,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", choices=("pad", "crop", "none"), default="pad")
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    p.add_argument("--variant", required=True, choices=("tiny", "small"))
+    p.add_argument("--variant", required=True, choices=tuple(VARIANTS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--coords", type=int, default=200)
@@ -112,58 +126,36 @@ def _cmd_summary(args) -> int:
         + " std=" + ",".join(f"{s:g}" for s in NORM_STD)
     )
     groups = param_breakdown(model)
-    order = ["fixed", "stem", "s1", "s2", "s3", "s4"]
-    total_learnable = total_stats = total_frozen = 0
-    for g in order:
-        slot = groups.get(g, {"learnable": 0, "stats": 0, "frozen": 0})
+    for g, slot in groups.items():
         print(
             f"group {g:<5} learnable={slot['learnable']:>9} "
             f"stats={slot['stats']:>7} frozen={slot['frozen']:>4}"
         )
-        total_learnable += slot["learnable"]
-        total_stats += slot["stats"]
-        total_frozen += slot["frozen"]
-    print(f"total learnable={total_learnable} stats={total_stats} frozen={total_frozen}")
+    kinds = ("learnable", "stats", "frozen")
+    print("total " + " ".join(f"{k}={sum(s[k] for s in groups.values())}" for k in kinds))
     frozen_names = [n for n, p in model.params.items() if p.frozen]
     print("frozen_kernels " + " ".join(frozen_names))
     return 0
-
-
-def _format_matrix(m: np.ndarray) -> str:
-    return "\n".join(" ".join(f"{v:12.8f}" for v in row) for row in m)
 
 
 def _cmd_kernels(args) -> int:
     if args.type == "scharr":
         if args.size is not None or args.sigma is not None:
             raise ConfigError("scharr kernels are fixed 3x3; --size/--sigma do not apply")
-        sx, sy = scharr_kernels()
-        print("scharr_x 3x3")
-        print(_format_matrix(sx))
-        print("scharr_y 3x3")
-        print(_format_matrix(sy))
-        if args.out:
-            stacked = np.stack([sx, sy])[:, None].astype(np.float32)
-            save_raw_tensor(Tensor(stacked), args.out)
-            print(f"wrote {args.out}")
-        return 0
-    size = args.size if args.size is not None else (7 if args.type == "log" else 5)
-    sigma = args.sigma if args.sigma is not None else 1.0
-    kernel = (gaussian_kernel if args.type == "gaussian" else log_kernel)(size, sigma)
-    print(f"{args.type} {size}x{size} sigma={sigma:g} sum={kernel.sum():.12f}")
-    print(_format_matrix(kernel))
+        kernels = list(zip(("scharr_x 3x3", "scharr_y 3x3"), scharr_kernels()))
+    else:
+        size = args.size if args.size is not None else (7 if args.type == "log" else 5)
+        sigma = args.sigma if args.sigma is not None else 1.0
+        kernel = (gaussian_kernel if args.type == "gaussian" else log_kernel)(size, sigma)
+        kernels = [(f"{args.type} {size}x{size} sigma={sigma:g} sum={kernel.sum():.12f}", kernel)]
+    for label, kernel in kernels:
+        print(label)
+        print("\n".join(" ".join(f"{v:12.8f}" for v in row) for row in kernel))
     if args.out:
-        save_raw_tensor(Tensor(kernel[None, None].astype(np.float32)), args.out)
+        stacked = np.stack([kernel for _, kernel in kernels])[:, None].astype(np.float32)
+        save_raw_tensor(Tensor(stacked), args.out)
         print(f"wrote {args.out}")
     return 0
-
-
-def _stats_line(label: str, t: Tensor) -> str:
-    a = t.data
-    shape = "x".join(str(s) for s in a.shape)
-    return (
-        f"{label} shape={shape} min={a.min():.6f} max={a.max():.6f} mean={a.mean():.6f}"
-    )
 
 
 def _cmd_features(args) -> int:
@@ -176,25 +168,20 @@ def _cmd_features(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         pyramid = backbone_forward(image, model, Mode(), trace=trace)
     stages = (args.stage,) if args.stage else (1, 2, 3, 4)
-    for i in stages:
-        level = pyramid.levels[i - 1]
-        path = os.path.join(args.out_dir, f"level{i}.rt")
-        save_raw_tensor(level, path)
-        print(_stats_line(f"level{i}", level))
-    if trace is not None:
-        for key in sorted(trace):
-            stage_tag = key.split(".", 1)[0]
-            if args.stage and stage_tag != f"s{args.stage}":
-                continue
-            fname = key.replace(".attention", "_attention").replace(".", "_") + ".rt"
-            path = os.path.join(args.out_dir, fname)
-            save_raw_tensor(trace[key], path)
-            print(_stats_line(key, trace[key]))
+    dumps = {f"level{i}": pyramid.levels[i - 1] for i in stages}
+    tags = tuple(f"s{i}." for i in stages)
+    dumps.update((key, trace[key]) for key in sorted(trace or ()) if key.startswith(tags))
+    for label, t in dumps.items():
+        save_raw_tensor(t, os.path.join(args.out_dir, label.replace(".", "_") + ".rt"))
+        a, shape = t.data, "x".join(str(s) for s in t.shape)
+        print(f"{label} shape={shape} min={a.min():.6f} max={a.max():.6f} mean={a.mean():.6f}")
     return 0
 
 
 def _cmd_gradcheck(args) -> int:
     _check_input((1, 3, args.size, args.size))
+    if 3 * args.size**2 * 8 > sys.maxsize:  # the float64 input drawn below
+        raise ConfigError(f"--size {args.size} is too large for an array")
     _check_fd_settings(args.eps, args.coords)
     if not (np.isfinite(args.tol) and args.tol > 0):
         raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
@@ -221,12 +208,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except (EgnetError, OSError) as exc:
-        return _fail(getattr(exc, "category", "io"), exc)
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings():
+        warnings.showwarning = _warn
+        try:
+            return _COMMANDS[args.command](args)
+        except (EgnetError, OSError) as exc:
+            return _fail(getattr(exc, "category", "io"), exc)
+        except MemoryError as exc:
+            return _fail("memory", exc)
 
 
 if __name__ == "__main__":

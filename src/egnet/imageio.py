@@ -46,7 +46,7 @@ def read_ppm(path: str) -> np.ndarray:
     tokens = _tokenize_ppm_header(blob)
     magic, _ = next(tokens)
     if magic != b"P6":
-        raise ImageFormatError(f"not a binary PPM (magic {magic!r})", offset=0)
+        raise ImageFormatError(f"not a binary PPM (magic {magic[:FIELD_DIGITS]!r})", offset=0)
     fields = []
     end = 0
     for _ in range(3):

@@ -10,6 +10,7 @@ constant tensors to themselves.  LoG kernels get a zero-DC adjustment
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -23,6 +24,8 @@ _SCHARR_X = np.array(
 def _check(k: int, sigma: float) -> None:
     if not isinstance(k, (int, np.integer)) or k < 1 or k % 2 == 0:
         raise ConfigError(f"kernel size must be a positive odd integer, got {k!r}")
+    if 2 * k * k * 8 > sys.maxsize:  # _grid's (2, k, k) int64 grid
+        raise ConfigError(f"kernel size {k} is too large for an array")
     if not (math.isfinite(sigma) and sigma > 0):
         raise ConfigError(f"sigma must be finite and positive, got {sigma!r}")
 

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from egnet import ops
+from egnet.cli import MESSAGE_CHARS
 
 
-def _rt(shape, dtype=b'"f32"', payload=b""):
-    return b'{"shape":' + shape + b',"dtype":' + dtype + b',"order":"nchw"}\n' + payload
+def _rt(shape, dtype=b'"f32"', payload=b"", order=b'"nchw"'):
+    return b'{"shape":' + shape + b',"dtype":' + dtype + b',"order":' + order + b'}\n' + payload
 
 
 HUGE = b"9" * 4000  # an exact int that str() can print but whose square it cannot
+LONG = b'"' + b"x" * 100_000 + b'"'  # a header string that an error message echoes
 
 # Whole .rt files whose headers load_raw_tensor must reject with a ParseError.
 MALFORMED_RT = {
@@ -24,13 +26,19 @@ MALFORMED_RT = {
     "dtype-dict": _rt(b"[1,3,4,4]", b'{"a":1}', bytes(192)),
     "int-over-digit-limit": _rt(b"[1,3," + b"9" * 5000 + b",4]"),
     "nested-past-recursion-limit": b"[" * 100_000 + b"\n",
+    "order-of-100kB": _rt(b"[1,3,4,4]", order=LONG),
+    "dtype-of-100kB": _rt(b"[1,3,4,4]", LONG),
+    "shape-of-50k-sides": _rt(b"[" + b",".join([b"1"] * 50_000) + b"]"),
 }
 
 
 def assert_error_line(err, category):
-    """``err`` is exactly one ``error category=<category> message="..."`` line."""
+    """``err`` is exactly one ``error category=<category> message="..."`` line,
+    whose message is at most ``MESSAGE_CHARS`` characters long."""
     assert "Traceback" not in err
-    assert re.fullmatch(rf'error category={category} message="[^"\n]*"\n', err), err
+    line = re.fullmatch(rf'error category={category} message="([^"\n]*)"\n', err)
+    assert line, err[:1000]
+    assert len(line[1]) <= MESSAGE_CHARS, err[:1000]
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -12,12 +13,50 @@ import pytest
 
 import egnet
 from egnet.backbone import BackboneConfig, Model, Param, build_model
-from egnet.cli import main
+from egnet.cli import MESSAGE_CHARS, main
 from egnet.kernels import scharr_kernels
 from egnet.tensor import Tensor, load_raw_tensor, save_raw_tensor
 from egnet.weights import save_weights
 
 from conftest import MALFORMED_RT, assert_error_line
+
+SUMMARY_TINY = """\
+source variant=tiny seed=0
+config variant=tiny width=32 blocks=1,4,4,2 bn_eps=1e-05 eca_gamma=2 eca_beta=1 dropout=0.1
+normalization mean=0.485,0.456,0.406 std=0.229,0.224,0.225
+group fixed learnable=        0 stats=      0 frozen= 198
+group stem  learnable=     8533 stats=    236 frozen=   0
+group s1    learnable=    16099 stats=    448 frozen=   0
+group s2    learnable=   272524 stats=   3968 frozen=   0
+group s3    learnable=  1077524 stats=   7936 frozen=   0
+group s4    learnable=  2307082 stats=   8704 frozen=   0
+total learnable=3681762 stats=21292 frozen=198
+frozen_kernels fixed.log7 fixed.gauss9_s05 fixed.gauss5_s05 fixed.gauss5_s10 fixed.scharr_x \
+fixed.scharr_y
+"""
+
+SCHARR = """\
+scharr_x 3x3
+ -3.00000000   0.00000000   3.00000000
+-10.00000000   0.00000000  10.00000000
+ -3.00000000   0.00000000   3.00000000
+scharr_y 3x3
+ -3.00000000 -10.00000000  -3.00000000
+  0.00000000   0.00000000   0.00000000
+  3.00000000  10.00000000   3.00000000
+"""
+
+GAUSSIAN_3 = """\
+gaussian 3x3 sigma=1 sum=1.000000000000
+  0.07511361   0.12384140   0.07511361
+  0.12384140   0.20417996   0.12384140
+  0.07511361   0.12384140   0.07511361
+"""
+
+CHECKSUM_WARNING = (
+    r'warning category=weights message="checksum mismatch: '
+    r'stored 0x[0-9a-f]{8}, computed 0x[0-9a-f]{8}"\n'
+)
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +64,16 @@ def tiny_weights(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("weights") / "tiny.legw")
     assert main(["init", "--variant", "tiny", "--seed", "0", "--out", path]) == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def flipped_weights(tiny_weights, tmp_path_factory):
+    # tiny_weights with one payload byte flipped: intact but for its checksum
+    blob = bytearray(open(tiny_weights, "rb").read())
+    blob[-100] ^= 0xFF
+    path = tmp_path_factory.mktemp("weights") / "flipped.legw"
+    path.write_bytes(bytes(blob))
+    return str(path)
 
 
 def write_step_ppm(path, size=64):
@@ -44,10 +93,7 @@ class TestInitAndSummary:
         out = capsys.readouterr().out
         expected = build_model(BackboneConfig.for_variant("tiny")).learnable_count()
         assert f"total learnable={expected} " in out
-        assert "normalization mean=0.485,0.456,0.406 std=0.229,0.224,0.225" in out
-        for group in ("fixed", "stem", "s1", "s2", "s3", "s4"):
-            assert f"group {group:<5}" in out
-        assert "frozen_kernels fixed.log7" in out
+        assert out == SUMMARY_TINY
 
     def test_summary_from_weights_matches_entry_table(self, tiny_weights, capsys):
         assert main(["summary", "--weights", tiny_weights]) == 0
@@ -56,6 +102,15 @@ class TestInitAndSummary:
         assert f"total learnable={expected} " in out
         assert "config variant=tiny width=32 blocks=1,4,4,2" in out
 
+    def test_checksum_mismatch_is_one_warning_line(self, tiny_weights, flipped_weights, capsys):
+        assert main(["summary", "--weights", tiny_weights]) == 0
+        clean = capsys.readouterr()
+        assert main(["summary", "--weights", flipped_weights]) == 0
+        captured = capsys.readouterr()
+        assert re.fullmatch(CHECKSUM_WARNING, captured.err), captured.err
+        assert captured.out == clean.out.replace(tiny_weights, flipped_weights)
+        assert clean.err == ""
+
 
 class TestKernelsCommand:
     def test_gaussian_prints_and_dumps(self, tmp_path, capsys):
@@ -63,9 +118,7 @@ class TestKernelsCommand:
         assert main(["kernels", "--type", "gaussian", "--size", "3",
                      "--sigma", "1.0", "--out", out_path]) == 0
         out = capsys.readouterr().out
-        assert "gaussian 3x3 sigma=1" in out
-        assert "sum=1.000000000000" in out
-        assert "0.20" in out  # center weight
+        assert out == GAUSSIAN_3 + f"wrote {out_path}\n"
         t = load_raw_tensor(out_path)
         assert t.shape == (1, 1, 3, 3)
 
@@ -75,9 +128,7 @@ class TestKernelsCommand:
 
     def test_scharr_prints_pair(self, capsys):
         assert main(["kernels", "--type", "scharr"]) == 0
-        out = capsys.readouterr().out
-        assert "scharr_x" in out and "scharr_y" in out
-        assert "-10.00000000" in out
+        assert capsys.readouterr().out == SCHARR
 
     def test_scharr_dump_is_the_stacked_pair(self, tmp_path, capsys):
         out_path = str(tmp_path / "s.rt")
@@ -144,6 +195,38 @@ class TestFeaturesCommand:
         col_energy = att.data[0].sum(axis=(0, 1))
         step_col = att.shape[3] // 2
         assert abs(int(col_energy.argmax()) - step_col) <= 1
+
+    @pytest.mark.parametrize(
+        "stage, labels",
+        [(["--stage", "2"], ["level2", *(f"s2.b{j}.ega.attention" for j in (1, 2, 3, 4))]),
+         ([], ["level1", "level2", "level3", "level4", "s1.b1.ega.attention",
+               *(f"s{i}.b{j}.ega.attention" for i in (2, 3) for j in (1, 2, 3, 4)),
+               "s4.b1.ega.attention", "s4.b2.ega.attention"])],
+        ids=["stage-2", "all-stages"],
+    )
+    def test_attention_dump_names_and_order(self, stage, labels, tiny_weights, tmp_path, capsys):
+        # Levels first, then the attention maps in sorted order; a label's
+        # file name is the label with "." replaced by "_".
+        ppm = str(tmp_path / "step.ppm")
+        write_step_ppm(ppm, 64)
+        out_dir = str(tmp_path / "att")
+        assert main(["features", "--weights", tiny_weights, "--image", ppm,
+                     "--out-dir", out_dir, "--dump-attention", *stage]) == 0
+        printed = [line.split(" ", 1)[0] for line in capsys.readouterr().out.splitlines()]
+        assert printed == labels
+        assert sorted(os.listdir(out_dir)) == sorted(
+            label.replace(".", "_") + ".rt" for label in labels
+        )
+
+    def test_checksum_mismatch_is_one_warning_line(self, flipped_weights, tmp_path, capsys):
+        ppm = str(tmp_path / "img.ppm")
+        write_step_ppm(ppm, 32)
+        assert main(["features", "--weights", flipped_weights, "--image", ppm,
+                     "--out-dir", str(tmp_path / "out"), "--stage", "1"]) == 0
+        captured = capsys.readouterr()
+        assert re.fullmatch(CHECKSUM_WARNING, captured.err), captured.err
+        assert captured.out.startswith("level1 shape=1x32x8x8 ")
+        assert captured.out.count("\n") == 1
 
     def test_full_resolution_pyramid(self, tiny_weights, tmp_path):
         ppm = str(tmp_path / "big.ppm")
@@ -278,9 +361,10 @@ class TestErrorSurface:
          (["--eps", "0"], "config"), (["--eps=-1e-5"], "config"),
          (["--eps", "inf"], "config"), (["--eps", "nan"], "config"),
          (["--tol", "inf"], "config"), (["--tol", "nan"], "config"),
-         (["--tol", "0"], "config"), (["--tol=-1"], "config")],
+         (["--tol", "0"], "config"), (["--tol=-1"], "config"),
+         (["--size", "32000000000000000000000"], "config")],
         ids=["size=0", "size=-32", "coords=0", "coords=-1", "eps=0", "eps<0", "eps=inf",
-             "eps=nan", "tol=inf", "tol=nan", "tol=0", "tol<0"],
+             "eps=nan", "tol=inf", "tol=nan", "tol=0", "tol<0", "size-past-array-limit"],
     )
     def test_gradcheck_that_would_check_nothing_is_one_error_line(
         self, args, category, capsys, monkeypatch
@@ -304,8 +388,10 @@ class TestErrorSurface:
     @pytest.mark.parametrize(
         "args",
         [["gaussian", "--sigma", "inf"], ["gaussian", "--sigma", "1e-300"],
-         ["log", "--size", "3", "--sigma", "1e-300"]],
-        ids=["gaussian-inf", "gaussian-tiny", "log-tiny"],
+         ["log", "--size", "3", "--sigma", "1e-300"],
+         ["gaussian", "--size", "99999999999"], ["log", "--size", "1000000000000000000001"]],
+        ids=["gaussian-inf", "gaussian-tiny", "log-tiny",
+             "gaussian-size-past-array-limit", "log-size-past-array-limit"],
     )
     def test_non_finite_kernel_is_one_error_line(self, args, tmp_path, capsys):
         out = str(tmp_path / "k.rt")
@@ -315,6 +401,36 @@ class TestErrorSurface:
         assert_error_line(captured.err, "config")
         assert captured.out == ""
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "args, allocation",
+        [(["kernels", "--type", "gaussian", "--size", "999999"], "egnet.kernels._grid"),
+         (["gradcheck", "--variant", "tiny", "--size", "3200000"], "egnet.cli.build_model")],
+        ids=["kernels-size-999999", "gradcheck-size-3200000"],
+    )
+    def test_out_of_memory_is_one_error_line(self, args, allocation, capsys, monkeypatch):
+        # These sizes fit an array index but not this machine's memory. The
+        # allocation is faked so that no test asks for terabytes.
+        def no_memory(*_, **__):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+        monkeypatch.setattr(allocation, no_memory)
+        rc = main(args)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert_error_line(captured.err, "memory")
+        assert "14.6 TiB" in captured.err
+        assert captured.out == ""
+
+    def test_long_message_keeps_a_prefix(self, tmp_path, capsys):
+        # argparse echoes the bad choice whole; the line keeps its start.
+        with pytest.raises(SystemExit):
+            main(["init", "--variant", "x" * 100_000, "--out", str(tmp_path / "m.legw")])
+        err = capsys.readouterr().err
+        assert_error_line(err, "usage")
+        assert err.startswith("error category=usage message=\"argument --variant: invalid choice: 'xxx")
+        assert err.endswith("xxx...\"\n")
+        assert len(err) == len('error category=usage message=""\n') + MESSAGE_CHARS
 
     @staticmethod
     def edit_entry(path, entry, **fields):

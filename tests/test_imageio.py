@@ -117,6 +117,8 @@ def test_raw_tensor_input_must_be_image_shaped(tmp_path):
         (b"P6\n0 4\n255\n", np.zeros((4, 0, 3), dtype=np.uint8)),         # zero width
         pytest.param(b"P6\n" + b"9" * 5000 + b" 4\n255\n", np.zeros((4, 4, 3), dtype=np.uint8),
                      id="width-5000-digits"),
+        pytest.param(b"P6" + b"x" * 100_000 + b"\n4 4\n255\n", np.zeros((4, 4, 3), dtype=np.uint8),
+                     id="magic-100kB"),
     ],
 )
 def test_malformed_headers(tmp_path, header, pixels):

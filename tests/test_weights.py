@@ -148,6 +148,11 @@ MALFORMED = {
     "config-not-dict": (lambda header: header.update(config=["tiny"]), "variant"),
     "extra-header-key": (lambda header: header.update(comment="x"), "comment"),
     "extra-entry": (lambda h: h["entries"].append(dict(h["entries"][-1])), "entries"),
+    # values an error message echoes, 100 kB long
+    "variant-100kB": (set_config(variant="v" * 100_000), "variant"),
+    "eca_gamma-100kB": (set_config(eca_gamma="g" * 100_000), "eca_gamma"),
+    "header-key-100kB": (lambda header: header.update({"k" * 100_000: 1}), "header key"),
+    "entry-name-100kB": (lambda h: h["entries"][0].update(name="n" * 100_000), "entry 0"),
 }
 
 
