@@ -46,8 +46,12 @@ def _fail(category: str, message) -> int:
     return 1
 
 
+def _warning_category(cls) -> str:
+    return "weights" if issubclass(cls, ChecksumWarning) else "runtime"
+
+
 def _warn(message, cls, *_) -> None:  # as warnings.showwarning
-    _report("warning", "weights" if issubclass(cls, ChecksumWarning) else "runtime", message)
+    _report("warning", _warning_category(cls), message)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -217,6 +221,8 @@ def main(argv=None) -> int:
             return _fail(getattr(exc, "category", "io"), exc)
         except MemoryError as exc:
             return _fail("memory", exc)
+        except Warning as exc:  # a warning that a filter turned into an error
+            return _fail(_warning_category(type(exc)), exc)
 
 
 if __name__ == "__main__":

@@ -39,6 +39,9 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 # 4 MB keeps each tile's matmul thousands of columns wide at 512^2.
 TILE_BYTES = 4 << 20
 
+# Outputs per GEMM of a shared filter's 1-D passes (see _separable_raw).
+BAND = 64
+
 
 def _data(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x)
@@ -261,19 +264,38 @@ def _low_rank(ka):
 
 
 def _separable_raw(xp, cols, rows, stride, oh, ow) -> np.ndarray:
-    # Per factor: a vertical 1-D pass over the padded rows (keeping the
-    # stride), then a horizontal one over its columns, summed over factors.
+    """Per factor, a vertical 1-D pass over the padded rows (keeping the
+    stride), then a horizontal one over its columns, summed over factors.
+
+    Each pass is one GEMM per block of :data:`BAND` outputs with the
+    factor's Toeplitz band, over the overlapping window of input rows (or
+    columns) that the block reads.  Finite inputs give the dense sums to
+    rounding; a non-finite input spreads over its band block, since the
+    band's zeros multiply it too (0 * inf = NaN).
+    """
     n, c, _, wp = xp.shape
     y = np.zeros((n, c, oh, ow), dtype=xp.dtype)
     t = np.empty((n, c, oh, wp), dtype=xp.dtype)
-    vtmp, htmp = np.empty_like(t), np.empty_like(y)
+    h = np.empty_like(y)
     for col, row in zip(cols, rows):
-        t.fill(0)
-        for i, a in enumerate(col):
-            t += np.multiply(xp[:, :, _span(i, oh, stride)], a, out=vtmp)
-        for j, b in enumerate(row):
-            y += np.multiply(t[:, :, :, _span(j, ow, stride)], b, out=htmp)
+        _band_pass(xp, col, stride, t)
+        _band_pass(t.swapaxes(2, 3), row, stride, h.swapaxes(2, 3))
+        y += h
     return y
+
+
+def _band_pass(src, f, stride, out) -> None:
+    # out[..., o, :] = sum_i f[i] * src[..., stride * o + i, :], BAND rows
+    # of out at a time; column o of the band holds f at rows s*o ... s*o+k-1.
+    k = len(f)
+    band = np.zeros((stride * (BAND - 1) + k, BAND), dtype=f.dtype)
+    for o in range(BAND):
+        band[stride * o : stride * o + k, o] = f
+    for lo in range(0, out.shape[2], BAND):
+        m = min(BAND, out.shape[2] - lo)
+        span = stride * (m - 1) + k
+        np.matmul(band[:span, :m].T, src[:, :, stride * lo : stride * lo + span],
+                  out=out[:, :, lo : lo + m])
 
 
 def _depthwise_raw(xa, ka, stride, padding) -> np.ndarray:
@@ -417,8 +439,16 @@ def gelu(x) -> Tensor:
 
 
 def _gelu_raw(xa) -> np.ndarray:
-    u = _GELU_C * (xa + 0.044715 * xa * xa * xa)
-    return 0.5 * xa * (1.0 + np.tanh(u))
+    # In one buffer, in the order of 0.5 x (1 + tanh(c (x + 0.044715 x x x))).
+    u = np.asarray(xa * 0.044715)  # an array even for a rank-0 input
+    u *= xa
+    u *= xa
+    u += xa
+    u *= _GELU_C
+    np.tanh(u, out=u)
+    u += 1.0
+    u *= 0.5 * xa
+    return u
 
 
 def sigmoid(x) -> Tensor:

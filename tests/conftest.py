@@ -73,3 +73,11 @@ def conv_tiles(request, monkeypatch):
             assert oh % 3 and heights() == [3] * (oh // 3) + [oh % 3]
 
     return tile
+
+
+@pytest.fixture
+def band_blocks(monkeypatch):
+    """Shrinks ``ops.BAND`` to 4 outputs per GEMM of a shared filter's 1-D
+    passes, so that a map of 9 to 11 rows and columns crosses several band
+    blocks at stride 1 and 2 and ends in a shorter one."""
+    monkeypatch.setattr(ops, "BAND", 4)

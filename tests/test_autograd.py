@@ -359,6 +359,13 @@ class TestPerOpGradients:
             dict(x=rng.normal(size=(1, 2, 9, 10))),
         )
 
+    @pytest.mark.parametrize("name", ["fixed.gauss9_s05", "fixed.scharr_y", "fixed.log7"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [ops.ZERO, ops.REPLICATE])
+    def test_depthwise_low_rank_fixed_kernel_band_blocks(self, rng, band_blocks, name, stride,
+                                                         padding):
+        self.test_depthwise_low_rank_fixed_kernel(rng, name, stride, padding)
+
     def test_conv1d_channels(self, rng):
         check_op_grads(
             lambda v: ag.conv1d_channels(v["v"], v["w"]),

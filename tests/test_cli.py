@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 import zlib
 
 import numpy as np
@@ -420,6 +421,31 @@ class TestErrorSurface:
         assert rc == 1
         assert_error_line(captured.err, "memory")
         assert "14.6 TiB" in captured.err
+        assert captured.out == ""
+
+    def test_checksum_warning_made_an_error_is_one_error_line(self, flipped_weights, capsys):
+        # README's way to make a checksum mismatch fatal: warnings as errors.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["summary", "--weights", flipped_weights])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert_error_line(captured.err, "weights")
+        assert "checksum mismatch" in captured.err
+        assert captured.out == ""
+
+    def test_other_warning_made_an_error_is_one_runtime_error_line(self, capsys, monkeypatch):
+        def overflow(*_, **__):
+            warnings.warn("overflow encountered in multiply", RuntimeWarning)
+
+        monkeypatch.setattr("egnet.cli.build_model", overflow)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["summary", "--variant", "tiny"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert_error_line(captured.err, "runtime")
+        assert "overflow encountered" in captured.err
         assert captured.out == ""
 
     def test_long_message_keeps_a_prefix(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Forward semantics of the tensor primitives, checked against naive oracles."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -181,16 +182,42 @@ SHARED_KERNELS["random5"] = np.random.default_rng(7).normal(size=(5, 5))
 class TestSharedKernel:
     """Shared (k, k) kernels: 1-D passes where their rank allows, else the dense path."""
 
+    @staticmethod
+    def _check_loop_oracle(name, rng, shape=(2, 3, 11, 10), cases=None):
+        for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
+            x = rng.normal(size=shape).astype(dtype)
+            k = SHARED_KERNELS[name].astype(dtype)
+            for stride, padding in cases or itertools.product((1, 2), (ops.ZERO, ops.REPLICATE)):
+                got = ops.depthwise_conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding)
+                ref = depthwise_naive(x, k, stride=stride, padding=padding)
+                np.testing.assert_allclose(got.data, ref, rtol=tol, atol=tol)
+
     @pytest.mark.parametrize("name", sorted(SHARED_KERNELS))
     def test_matches_loop_oracle(self, name, rng):
-        for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
-            x = rng.normal(size=(2, 3, 11, 10)).astype(dtype)
-            k = SHARED_KERNELS[name].astype(dtype)
-            for stride in (1, 2):
-                for padding in (ops.ZERO, ops.REPLICATE):
-                    got = ops.depthwise_conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding)
-                    ref = depthwise_naive(x, k, stride=stride, padding=padding)
-                    np.testing.assert_allclose(got.data, ref, rtol=tol, atol=tol)
+        self._check_loop_oracle(name, rng)
+
+    @pytest.mark.parametrize("name", sorted(SHARED_KERNELS))
+    def test_band_blocks_match_loop_oracle(self, name, rng, band_blocks):
+        self._check_loop_oracle(name, rng)
+
+    def test_map_past_two_default_bands_matches_loop_oracle(self, rng):
+        # 130 x 131 outputs at stride 1: two full band blocks and a short one.
+        assert ops.BAND == 64
+        self._check_loop_oracle("fixed.log7", rng, (1, 1, 130, 131),
+                                [(1, ops.REPLICATE), (2, ops.ZERO)])
+
+    @pytest.mark.parametrize("name", sorted(FIXED_KERNELS))
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_input_never_vanishes(self, rng, name, bad):
+        x = rng.normal(size=(2, 3, 11, 10))
+        x[1, 2, 5, 6] = bad
+        k = FIXED_KERNELS[name]
+        for stride, padding in itertools.product((1, 2), (ops.ZERO, ops.REPLICATE)):
+            with np.errstate(invalid="ignore"):
+                got = ops.depthwise_conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding)
+                ref = depthwise_naive(x, k, stride=stride, padding=padding)
+            assert not np.isfinite(ref).all()
+            assert not np.isfinite(got.data[~np.isfinite(ref)]).any()
 
     @pytest.mark.parametrize(
         "name, rank",
@@ -359,6 +386,16 @@ class TestElementwise:
         expected = 0.5 * (1.0 + math.tanh(math.sqrt(2.0 / math.pi) * (1.0 + 0.044715)))
         y = ops.gelu(Tensor(np.array([1.0])))
         np.testing.assert_allclose(y.data[0], expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_bitwise_equals_textbook_formula(self, rng, dtype):
+        x = rng.normal(scale=4.0, size=1_000_000).astype(dtype)
+        x[:9] = [0.0, -0.0, 1e30, -1e30, np.nan, np.inf, -np.inf, 1.0, -1.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            textbook = 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x * x * x)))
+            got = ops.gelu(Tensor(x)).data
+        assert got.dtype == dtype
+        assert got.tobytes() == textbook.tobytes()
 
     def test_sigmoid_at_zero(self):
         assert ops.sigmoid(_t([0.0])).data[0] == 0.5
