@@ -2,13 +2,13 @@
 
 Design: a :class:`Tape` is a linear record (Wengert list) of operations;
 it is topologically ordered by construction because nodes are appended in
-execution order.  A :class:`Var` is a handle onto one tape slot.  Each
-traced op runs the forward routine from :mod:`egnet.ops` and attaches a
-vector-Jacobian closure for the backward sweep.
+execution order.  A :class:`Var` is a handle onto one tape slot.
 
-The same functional wrappers accept plain tensors: with no :class:`Var`
-among the arguments they just forward to :mod:`egnet.ops`, so model code
-is written once and works for inference, training, and gradient checks.
+Every wrapper has one rule: it computes its result through
+:mod:`egnet.ops`, defines the vector-Jacobian closure of that op, and
+hands both to :func:`_record`, which tapes the result when any operand is
+a :class:`Var` and returns the plain tensor otherwise.  Model code is
+written once and works for inference, training, and gradient checks.
 
 Frozen leaves (the fixed classical kernels) receive no gradient entry,
 but gradients still propagate *through* the ops that consume them.
@@ -55,17 +55,6 @@ class Tape:
         self.nodes.append(_Node((), None, not frozen, value.shape))
         return Var(self, len(self.nodes) - 1, value)
 
-    def _record(self, value: Tensor, operands, vjp) -> "Var":
-        # Constants enter as anonymous frozen leaves, in operand order: no
-        # gradient flows to them.
-        parents = tuple(
-            (x if isinstance(x, Var) else self.leaf(x, frozen=True)).index for x in operands
-        )
-        needs = any(self.nodes[i].needs_grad for i in parents)
-        # A node no gradient passes through never runs its VJP.
-        self.nodes.append(_Node(parents, vjp if needs else None, needs, value.shape))
-        return Var(self, len(self.nodes) - 1, value)
-
 
 class Var:
     """Handle to one value on a tape."""
@@ -101,14 +90,23 @@ def _kept(x):
     return lambda: a
 
 
-def _tape_of(*xs) -> Tape | None:
+def _record(y: Tensor, operands, vjp):
+    """``y`` itself for plain operands; else ``y`` taped as the op's node."""
     tape = None
-    for x in xs:
+    for x in operands:
         if isinstance(x, Var):
             if tape is not None and x.tape is not tape:
                 raise ContractError("operands come from different tapes")
             tape = x.tape
-    return tape
+    if tape is None:
+        return y
+    # Constants enter as anonymous frozen leaves, in operand order: no
+    # gradient flows to them.
+    parents = tuple((x if isinstance(x, Var) else tape.leaf(x, frozen=True)).index for x in operands)
+    needs = any(tape.nodes[i].needs_grad for i in parents)
+    # A node no gradient passes through never runs its VJP.
+    tape.nodes.append(_Node(parents, vjp if needs else None, needs, y.shape))
+    return Var(tape, len(tape.nodes) - 1, y)
 
 
 def backward(loss: Var) -> dict[str, np.ndarray]:
@@ -196,19 +194,17 @@ def _conv2d_input_grad(g, wmat, xshape, grid, k, stride, padding):
 
 
 def conv2d(x, weight, *, stride: int = 1, padding: str = ops.ZERO):
-    tape = _tape_of(x, weight)
-    y = ops.conv2d(_value(x), _value(weight), stride=stride, padding=padding)
-    if tape is None:
-        return y
-    xshape, wa = _value(x).shape, _value(weight).data
-    cout, _, k, _ = wa.shape
-    _, _, rows, cols, _ = grid = ops._tap_grid(xshape, k, stride, padding)
-    wlive = wa[:, :, rows, cols]
-    wmat = wlive.reshape(cout, -1)
+    xv, wv = _value(x), _value(weight)
+    y = ops.conv2d(xv, wv, stride=stride, padding=padding)
+    xshape, wa = xv.shape, wv.data
     xk = _kept(x) if _needs(weight) else None
 
     def vjp(g, needed):
-        n, _, oh, ow = g.shape
+        n, cout, oh, ow = g.shape
+        k = wa.shape[2]
+        _, _, rows, cols, _ = grid = ops._tap_grid(xshape, k, stride, padding)
+        wlive = wa[:, :, rows, cols]
+        wmat = wlive.reshape(cout, -1)
         g3 = g.reshape(n, cout, oh * ow)
         gx = gw = None
         if needed[1]:
@@ -222,7 +218,7 @@ def conv2d(x, weight, *, stride: int = 1, padding: str = ops.ZERO):
             gx = _conv2d_input_grad(g, wmat, xshape, grid, k, stride, padding)
         return gx, gw
 
-    return tape._record(y, (x, weight), vjp)
+    return _record(y, (x, weight), vjp)
 
 
 def _depthwise_input_grad(g, ka, xshape, stride, padding):
@@ -242,11 +238,9 @@ def _depthwise_input_grad(g, ka, xshape, stride, padding):
 
 
 def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ops.ZERO):
-    tape = _tape_of(x, kernel)
-    y = ops.depthwise_conv2d(_value(x), _value(kernel), stride=stride, padding=padding)
-    if tape is None:
-        return y
-    xshape, ka = _value(x).shape, _value(kernel).data
+    xv, kv = _value(x), _value(kernel)
+    y = ops.depthwise_conv2d(xv, kv, stride=stride, padding=padding)
+    xshape, ka = xv.shape, kv.data
     k = ka.shape[-1]
     xk = _kept(x) if _needs(kernel) else None
 
@@ -264,14 +258,11 @@ def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ops.ZERO):
             gx = _depthwise_input_grad(g, ka, xshape, stride, padding)
         return gx, gk
 
-    return tape._record(y, (x, kernel), vjp)
+    return _record(y, (x, kernel), vjp)
 
 
 def conv1d_channels(v, weight):
-    tape = _tape_of(v, weight)
     y = ops.conv1d_channels(_value(v), _value(weight))
-    if tape is None:
-        return y
     vk = _kept(v) if _needs(weight) else None
     wk = _kept(weight) if _needs(v) else None
     k = _value(weight).shape[0]
@@ -287,14 +278,11 @@ def conv1d_channels(v, weight):
             gw = np.einsum("nck,nc->k", sliding_window_view(vp, k, axis=1), g)
         return gv, gw
 
-    return tape._record(y, (v, weight), vjp)
+    return _record(y, (v, weight), vjp)
 
 
 def maxpool2d(x):
-    tape = _tape_of(x)
     y = ops.maxpool2d(_value(x))
-    if tape is None:
-        return y
     xk, ya = _kept(x), y.data
 
     def vjp(g, _):
@@ -310,30 +298,24 @@ def maxpool2d(x):
             free &= ~hit
         return (gx,)
 
-    return tape._record(y, (x,), vjp)
+    return _record(y, (x,), vjp)
 
 
 def global_avg_pool(x):
-    tape = _tape_of(x)
     y = ops.global_avg_pool(_value(x))
-    if tape is None:
-        return y
     n, c, h, w = _value(x).shape
 
     def vjp(g, _):
         return (np.broadcast_to((g / (h * w))[:, :, None, None], (n, c, h, w)).copy(),)
 
-    return tape._record(y, (x,), vjp)
+    return _record(y, (x,), vjp)
 
 
 def batchnorm2d(x, scale, shift, *, mode="batch", mean=None, var=None):
     # Running statistics are constants: they never enter the tape.
-    tape = _tape_of(x, scale, shift)
-    if tape is None:
-        return ops.batchnorm2d(
-            _value(x), _value(scale), _value(shift), mode=mode,
-            mean=_value(mean), var=_value(var),
-        )
+    operands = (x, scale, shift)
+    if not any(isinstance(o, Var) for o in operands):
+        return ops.batchnorm2d(*map(_value, operands), mode=mode, mean=_value(mean), var=_value(var))
     sa, ba = _value(scale).data, _value(shift).data
     ya, d, inv = ops._batchnorm(_value(x).data, sa, ba, mode, _value(mean), _value(var))
     a = sa * inv
@@ -357,73 +339,70 @@ def batchnorm2d(x, scale, shift, *, mode="batch", mean=None, var=None):
             gx *= a[None, :, None, None]
         return gx, gs if needed[1] else None, gb if needed[2] else None
 
-    out = tape._record(Tensor._wrap(ya), (x, scale, shift), vjp)
+    out = _record(Tensor._wrap(ya), operands, vjp)
     # y's consumers keep d, which this node keeps anyway, not y itself.
     out.remat = lambda: ops._batchnorm_affine(d, a, ba)
     return out
 
 
 def gelu(x):
-    tape = _tape_of(x)
     y = ops.gelu(_value(x))
-    if tape is None:
-        return y
     xk = _kept(x)
 
     def vjp(g, _):
+        # In place, in the order of g (0.5 (1 + t) + 0.5 x (1 - t t) du)
+        # with t = tanh(u) and du = c (1 + 3 (0.044715) x x).
         xa = xk()
-        u = ops._GELU_C * (xa + 0.044715 * xa * xa * xa)
-        t = np.tanh(u)
-        du = ops._GELU_C * (1.0 + 3.0 * 0.044715 * xa * xa)
-        return (g * (0.5 * (1.0 + t) + 0.5 * xa * (1.0 - t * t) * du),)
+        t = ops._gelu_tanh(xa)
+        h = np.multiply(t, t, out=np.empty_like(t))
+        np.subtract(1.0, h, out=h)
+        h *= 0.5 * xa
+        du = np.multiply(3.0 * 0.044715, xa, out=np.empty_like(t))
+        du *= xa
+        du += 1.0
+        du *= ops._GELU_C
+        h *= du
+        t += 1.0
+        t *= 0.5
+        t += h
+        t *= g
+        return (t,)
 
-    return tape._record(y, (x,), vjp)
+    return _record(y, (x,), vjp)
 
 
 def sigmoid(x):
-    tape = _tape_of(x)
     y = ops.sigmoid(_value(x))
-    if tape is None:
-        return y
     ya = y.data
 
     def vjp(g, _):
         return (g * ya * (1.0 - ya),)
 
-    return tape._record(y, (x,), vjp)
+    return _record(y, (x,), vjp)
 
 
 def add(a, b):
-    tape = _tape_of(a, b)
     y = ops.add(_value(a), _value(b))
-    if tape is None:
-        return y
 
     def vjp(g, needed):
         return (g if needed[0] else None, g if needed[1] else None)
 
-    return tape._record(y, (a, b), vjp)
+    return _record(y, (a, b), vjp)
 
 
 def mul(a, b):
-    tape = _tape_of(a, b)
     y = ops.mul(_value(a), _value(b))
-    if tape is None:
-        return y
     ak = _kept(a) if _needs(b) else None
     bk = _kept(b) if _needs(a) else None
 
     def vjp(g, needed):
         return (g * bk() if needed[0] else None, g * ak() if needed[1] else None)
 
-    return tape._record(y, (a, b), vjp)
+    return _record(y, (a, b), vjp)
 
 
 def scale_channels(x, gates):
-    tape = _tape_of(x, gates)
     y = ops.scale_channels(_value(x), _value(gates))
-    if tape is None:
-        return y
     xk = _kept(x) if _needs(gates) else None
     gk = _kept(gates) if _needs(x) else None
 
@@ -432,25 +411,21 @@ def scale_channels(x, gates):
         gg = (g * xk()).sum(axis=(2, 3)) if needed[1] else None
         return gx, gg
 
-    return tape._record(y, (x, gates), vjp)
+    return _record(y, (x, gates), vjp)
 
 
 def sqrt_eps(x):
-    tape = _tape_of(x)
     y = ops.sqrt_eps(_value(x))
-    if tape is None:
-        return y
     ya = y.data  # y = sqrt(x + eps) > 0, so the slope 1/(2y) stays finite
 
     def vjp(g, _):
         return (g * (0.5 / ya),)
 
-    return tape._record(y, (x,), vjp)
+    return _record(y, (x,), vjp)
 
 
 def dropout(x, rate: float, rng=None):
-    tape = _tape_of(x)
-    if tape is None:
+    if not isinstance(x, Var):
         return ops.dropout(x, rate, rng)
     xa, dtype = x.value.data, x.value.dtype
     keep = ops._dropout_keep(xa.shape, rate, rng)
@@ -460,33 +435,27 @@ def dropout(x, rate: float, rng=None):
     def vjp(g, _):
         return (g * ops._dropout_mask(keep, rate, dtype),)
 
-    return tape._record(Tensor._wrap(xa * ops._dropout_mask(keep, rate, dtype)), (x,), vjp)
+    return _record(Tensor._wrap(xa * ops._dropout_mask(keep, rate, dtype)), (x,), vjp)
 
 
 def sum_all(x):
-    tape = _tape_of(x)
     y = ops.sum_all(_value(x))
-    if tape is None:
-        return y
     shape = _value(x).shape
 
     def vjp(g, _):
         return (np.full(shape, g[()], dtype=g.dtype),)
 
-    return tape._record(y, (x,), vjp)
+    return _record(y, (x,), vjp)
 
 
 def scale(x, alpha: float):
-    tape = _tape_of(x)
     xa = _value(x).data
     y = Tensor._wrap(xa * xa.dtype.type(alpha))
-    if tape is None:
-        return y
 
     def vjp(g, _):
         return (g * alpha,)
 
-    return tape._record(y, (x,), vjp)
+    return _record(y, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -440,14 +440,20 @@ def gelu(x) -> Tensor:
 
 def _gelu_raw(xa) -> np.ndarray:
     # In one buffer, in the order of 0.5 x (1 + tanh(c (x + 0.044715 x x x))).
+    u = _gelu_tanh(xa)
+    u += 1.0
+    u *= 0.5 * xa
+    return u
+
+
+def _gelu_tanh(xa) -> np.ndarray:
+    # tanh(c (x + 0.044715 x x x)) in one fresh buffer, in that order.
     u = np.asarray(xa * 0.044715)  # an array even for a rank-0 input
     u *= xa
     u *= xa
     u += xa
     u *= _GELU_C
     np.tanh(u, out=u)
-    u += 1.0
-    u *= 0.5 * xa
     return u
 
 

@@ -8,6 +8,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,12 +243,12 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
         p1, p2 = str(tmp_path / "a.legw"), str(tmp_path / "b.legw")
         save_weights(build_model(BackboneConfig.for_variant("tiny"), seed=17), p1)
         save_weights(build_model(BackboneConfig.for_variant("tiny"), seed=17), p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
         # save -> load -> save byte-exact
         p3 = str(tmp_path / "c.legw")
         save_weights(load_weights(p1), p3)
-        assert open(p1, "rb").read() == open(p3, "rb").read()
+        assert Path(p1).read_bytes() == Path(p3).read_bytes()
 
         # repeated feature extraction is byte-identical
         px = np.zeros((64, 64, 3), dtype=np.uint8)
@@ -265,6 +266,6 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
         names1 = sorted(os.listdir(d1))
         assert names1 == sorted(os.listdir(d2)) and len(names1) >= 15
         for name in names1:
-            a = open(os.path.join(d1, name), "rb").read()
-            b = open(os.path.join(d2, name), "rb").read()
+            a = Path(os.path.join(d1, name)).read_bytes()
+            b = Path(os.path.join(d2, name)).read_bytes()
             assert a == b, name

@@ -685,3 +685,14 @@ class TestBatchedProbes:
                                   seed=0, coords_per_tensor=20)
         assert err.value.param == name
         assert err.value.coord == coords[0]
+
+
+class TestGradcheckReachesStage4:
+    def test_every_tensor_is_checked_on_a_nonzero_gradient_at_64(self):
+        # At 32x32 the stage-4 maps are 1x1, where a batch-statistics norm
+        # outputs its shift: most stage-4 gradients are exactly zero, and
+        # such a tensor passes with error 0.0.  At 64x64 none does.
+        x = Tensor(np.random.default_rng(0).normal(size=(1, 3, 64, 64)).astype(np.float32))
+        report = bb.backbone_gradcheck(tiny(), x, seed=0, coords_per_tensor=2)
+        assert report.passed(1e-4), report.lines()[-1]
+        assert [name for name, err in report.per_param.items() if err == 0.0] == []

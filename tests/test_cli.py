@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ def tiny_weights(tmp_path_factory):
 @pytest.fixture(scope="module")
 def flipped_weights(tiny_weights, tmp_path_factory):
     # tiny_weights with one payload byte flipped: intact but for its checksum
-    blob = bytearray(open(tiny_weights, "rb").read())
+    blob = bytearray(Path(tiny_weights).read_bytes())
     blob[-100] ^= 0xFF
     path = tmp_path_factory.mktemp("weights") / "flipped.legw"
     path.write_bytes(bytes(blob))
@@ -103,6 +104,7 @@ class TestInitAndSummary:
         assert f"total learnable={expected} " in out
         assert "config variant=tiny width=32 blocks=1,4,4,2" in out
 
+    @pytest.mark.filterwarnings("default::egnet.weights.ChecksumWarning")
     def test_checksum_mismatch_is_one_warning_line(self, tiny_weights, flipped_weights, capsys):
         assert main(["summary", "--weights", tiny_weights]) == 0
         clean = capsys.readouterr()
@@ -180,8 +182,8 @@ class TestFeaturesCommand:
             assert main(["features", "--weights", tiny_weights, "--image", ppm,
                          "--out-dir", d]) == 0
         for fname in os.listdir(d1):
-            a = open(os.path.join(d1, fname), "rb").read()
-            b = open(os.path.join(d2, fname), "rb").read()
+            a = Path(os.path.join(d1, fname)).read_bytes()
+            b = Path(os.path.join(d2, fname)).read_bytes()
             assert a == b, fname
 
     def test_stage1_attention_peaks_at_step(self, tiny_weights, tmp_path):
@@ -219,6 +221,7 @@ class TestFeaturesCommand:
             label.replace(".", "_") + ".rt" for label in labels
         )
 
+    @pytest.mark.filterwarnings("default::egnet.weights.ChecksumWarning")
     def test_checksum_mismatch_is_one_warning_line(self, flipped_weights, tmp_path, capsys):
         ppm = str(tmp_path / "img.ppm")
         write_step_ppm(ppm, 32)
@@ -262,7 +265,7 @@ class TestFeaturesCommand:
             assert main(["features", "--weights", tiny_weights, "--image", path,
                          "--out-dir", dirs[-1]]) == 0
         for i in (1, 2, 3, 4):
-            a, b = (open(os.path.join(d, f"level{i}.rt"), "rb").read() for d in dirs)
+            a, b = (Path(os.path.join(d, f"level{i}.rt")).read_bytes() for d in dirs)
             assert a == b, i
 
 
@@ -462,7 +465,7 @@ class TestErrorSurface:
     def edit_entry(path, entry, **fields):
         # Rewrites one entry of the table, keeping the container valid
         # (header length, checksum).
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         header_len = struct.unpack_from("<I", blob, 6)[0]
         header = json.loads(blob[10 : 10 + header_len])
         for ent in header["entries"]:

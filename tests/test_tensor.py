@@ -1,5 +1,7 @@
 """Tensor value type and the raw tensor file format."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ class TestRawTensorFile:
         t = Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
         path = str(tmp_path / "t.rt")
         save_raw_tensor(t, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         header, payload = blob.split(b"\n", 1)
         assert header == b'{"shape":[1,3,4,4],"dtype":"f32","order":"nchw"}'
         assert len(payload) == 48 * 4
@@ -84,7 +86,7 @@ class TestRawTensorFile:
         t = Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32))
         path = str(tmp_path / "t.rt")
         save_raw_tensor(t, path)
-        blob = mutate(open(path, "rb").read())
+        blob = mutate(Path(path).read_bytes())
         bad = tmp_path / "bad.rt"
         bad.write_bytes(blob)
         with pytest.raises(ParseError):

@@ -6,6 +6,7 @@ import re
 import struct
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,20 +42,20 @@ def test_save_load_save_is_byte_identical(model, tmp_path):
     p1, p2 = str(tmp_path / "a.legw"), str(tmp_path / "b.legw")
     save_weights(model, p1)
     save_weights(load_weights(p1), p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_same_seed_builds_identical_files(tmp_path):
     p1, p2 = str(tmp_path / "a.legw"), str(tmp_path / "b.legw")
     save_weights(build_model(BackboneConfig.for_variant("tiny"), seed=11), p1)
     save_weights(build_model(BackboneConfig.for_variant("tiny"), seed=11), p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_file_size_arithmetic(model, tmp_path):
     path = str(tmp_path / "m.legw")
     save_weights(model, path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     header_len = struct.unpack_from("<I", blob, 6)[0]
     total_values = sum(p.value.size for p in model.params.values())
     assert len(blob) == 10 + header_len + 4 * total_values + 4
@@ -63,7 +64,7 @@ def test_file_size_arithmetic(model, tmp_path):
 def test_corrupted_payload_warns_but_loads(model, tmp_path):
     path = str(tmp_path / "m.legw")
     save_weights(model, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[-100] ^= 0xFF  # flip one payload byte
     bad = tmp_path / "bad.legw"
     bad.write_bytes(bytes(blob))
@@ -79,7 +80,7 @@ def test_corrupted_payload_warns_but_loads(model, tmp_path):
 def test_bad_magic(tmp_path, model):
     path = str(tmp_path / "m.legw")
     save_weights(model, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[:4] = b"NOPE"
     bad = tmp_path / "bad.legw"
     bad.write_bytes(bytes(blob))
@@ -91,7 +92,7 @@ def test_bad_magic(tmp_path, model):
 def test_bad_version(tmp_path, model):
     path = str(tmp_path / "m.legw")
     save_weights(model, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     struct.pack_into("<H", blob, 4, 99)
     bad = tmp_path / "bad.legw"
     bad.write_bytes(bytes(blob))
@@ -102,7 +103,7 @@ def test_bad_version(tmp_path, model):
 def test_truncated_file(tmp_path, model):
     path = str(tmp_path / "m.legw")
     save_weights(model, path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     bad = tmp_path / "bad.legw"
     bad.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(WeightFormatError):
@@ -120,7 +121,7 @@ def rewrite(path, edit_header=lambda header: None, edit_payload=lambda payload: 
     # Edits the parsed header in place and/or replaces the payload, keeping
     # the header length and checksum valid so that only the edit can fail
     # the load.
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     header_len = struct.unpack_from("<I", blob, 6)[0]
     header = json.loads(blob[10 : 10 + header_len])
     edit_header(header)
@@ -235,6 +236,6 @@ HEADER_SHA256 = {
 def test_header_bytes_are_pinned(variant, tmp_path):
     path = str(tmp_path / "m.legw")
     save_weights(build_model(BackboneConfig.for_variant(variant), seed=0), path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     header_len = struct.unpack_from("<I", blob, 6)[0]
     assert hashlib.sha256(blob[10 : 10 + header_len]).hexdigest() == HEADER_SHA256[variant]
