@@ -214,7 +214,10 @@ def conv2d(x, weight, *, stride: int = 1, padding: str = ops.ZERO):
                 glive += np.matmul(g3[:, :, lo * ow : hi * ow], cols_t).sum(axis=0)
             gw = np.zeros_like(wa)
             gw[:, :, rows, cols] = glive.reshape(wlive.shape)
-        if needed[0]:
+        if needed[0] and padding == ops.ZERO and ops._lowers_rows(xshape, wa.shape, stride):
+            # The adjoint at stride 1: g correlated with the weight flipped and transposed.
+            gx = ops._conv2d_rows(g, wa.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], ops.ZERO)
+        elif needed[0]:
             gx = _conv2d_input_grad(g, wmat, xshape, grid, k, stride, padding)
         return gx, gw
 
@@ -473,6 +476,8 @@ class GradReport:
     dtype: str
     coords_per_tensor: int
     per_param: dict[str, float] = field(default_factory=dict)
+    # Tensors whose checked analytic and numeric values are all exactly 0.
+    unseen: list[str] = field(default_factory=list)
 
     @property
     def max_rel_error(self) -> float:
@@ -565,4 +570,6 @@ def finite_diff_check(
         a = ana.flat[coords].astype(np.float64)
         rel = np.abs(a - numeric) / np.maximum(np.maximum(np.abs(a), np.abs(numeric)), REL_FLOOR)
         report.per_param[name] = float(rel.max(initial=0.0))
+        if not (a.any() or numeric.any()):
+            report.unseen.append(name)
     return report

@@ -197,6 +197,9 @@ def _cmd_gradcheck(args) -> int:
     )
     for line in report.lines():
         print(line)
+    if report.unseen:
+        _report("warning", "verify", f"{len(report.unseen)} tensors have all-zero checked gradients, "
+                f"analytic and numeric, so the check cannot see them: {' '.join(report.unseen)}")
     ok = report.passed(args.tol)
     print(f"result {'PASS' if ok else 'FAIL'} tol={args.tol:g}")
     return 0 if ok else 1

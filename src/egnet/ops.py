@@ -32,11 +32,11 @@ BN_EPS = 1e-5
 SQRT_EPS = 1e-12
 _GELU_C = math.sqrt(2.0 / math.pi)
 
-# Bytes of patches that a k x k conv2d, its VJPs and the depthwise kernel
-# VJP gather at once: they run over tiles of output rows whose patches fit
-# this budget, so no map needs its whole patch matrix at once (the
-# low-memory GEMM convolution of Cho & Brand, "MEC", arXiv 1706.06873).
-# 4 MB keeps each tile's matmul thousands of columns wide at 512^2.
+# Bytes that a k x k conv2d, its VJPs and the depthwise kernel VJP gather
+# at once: each runs over tiles of output rows whose buffers fit it, the
+# k^2 gather's patches or, in the one-axis lowering of Cho & Brand, "MEC"
+# (arXiv 1706.06873), the k column shifts and their GEMM's output (see
+# _conv2d_rows).  4 MB keeps each tile's matmul thousands of columns wide.
 TILE_BYTES = 4 << 20
 
 # Outputs per GEMM of a shared filter's 1-D passes (see _separable_raw).
@@ -189,7 +189,62 @@ def conv2d(x, weight, *, stride: int = 1, padding: str = ZERO) -> Tensor:
     return Tensor._wrap(_conv2d_raw(xa, wa, stride, padding))
 
 
+def _lowers_rows(xshape, wshape, stride: int) -> bool:
+    """Whether a conv2d of these shapes, and its input VJP, run
+    :func:`_conv2d_rows` rather than the k^2 gather and scatter.
+
+    At stride 1 on a rank-4 map where no tap reads only padding, it runs if
+    c_out <= c_in (its GEMM writes k c_out rows per pixel; the gather copies
+    c_in k^2) and c_in k^2 <= 1152 (deeper GEMMs are compute-bound, and a
+    tile's k - 1 halo rows cost more than the gather saves).  Median ms,
+    float32, n = 1, k^2 -> rows, forward; input VJP:
+        3->3 k7 at 512^2     38.4 -> 10.7; 45.8 -> 11.2
+        32->32 k3 at 128^2    6.3 -> 4.1;   8.0 -> 4.2
+        64->64 k3 at 64^2     3.8 -> 2.7;   5.0 -> 3.2
+        128->128 k3 at 32^2   3.1 -> 2.5;   3.1 -> 2.6
+        256->256 k3 at 16^2   2.6 -> 3.5;   2.8 -> 4.8   declined
+        3->16 k3 at 512^2     8.0 -> 13.6; 10.2 -> 17.2  declined
+    """
+    cout, cin, k = wshape[:3]
+    return (stride == 1 and k > 1 and len(xshape) == 4 and min(xshape[2:]) > k // 2
+            and cout <= cin and cin * k * k <= 1152)
+
+
+def _shift_tiles(xshape, wshape, itemsize: int) -> list:
+    # Output-row tiles of _conv2d_rows: its column shifts and its GEMM
+    # output each hold k * max(c_in, c_out) rows of n * w per map row.
+    (n, cin, h, w), (cout, _, k, _) = xshape, wshape
+    step = max(1, TILE_BYTES // max(1, itemsize * n * k * max(cin, cout) * w) - (k - 1))
+    return [(lo, min(lo + step, h)) for lo in range(0, h, step)]
+
+
+def _conv2d_rows(xa, wa, padding) -> np.ndarray:
+    # Stride-1 MEC lowering along columns.  Per tile of t output rows: the k
+    # column shifts of t + k - 1 padded rows, one GEMM with the kernel rows
+    # stacked on M, and y sums its k row-shifted slices (contiguous blocks).
+    (n, cin, h, w), (cout, _, k, _) = xa.shape, wa.shape
+    xp = _pad2d(xa, (k - 1) // 2, padding)
+    wmat = wa.transpose(2, 0, 1, 3).reshape(k * cout, cin * k)  # [(a, co), (ci, b)]
+    y = np.empty((n, cout, h * w), dtype=xa.dtype)
+    tiles = _shift_tiles(xa.shape, wa.shape, xa.itemsize)  # the first is the largest
+    cbuf, zbuf = (np.empty(n * k * c * (tiles[0][1] + k - 1) * w, xa.dtype) for c in (cin, cout))
+    for lo, hi in tiles:
+        r, m = hi - lo + k - 1, (hi - lo) * w
+        shifts = cbuf[: n * cin * k * r * w].reshape(n, cin, k, r, w)
+        for b in range(k):
+            shifts[:, :, b] = xp[:, :, lo : lo + r, b : b + w]
+        z = zbuf[: n * k * cout * r * w].reshape(n, k * cout, r * w)
+        z = np.matmul(wmat, shifts.reshape(n, cin * k, r * w), out=z).reshape(n, k, cout, r * w)
+        out = y[:, :, lo * w : hi * w]
+        np.add(z[:, 0, :, :m], z[:, 1, :, w : w + m], out=out)
+        for a in range(2, k):
+            out += z[:, a, :, a * w : a * w + m]
+    return y.reshape(n, cout, h, w)
+
+
 def _conv2d_raw(xa, wa, stride, padding) -> np.ndarray:
+    if _lowers_rows(xa.shape, wa.shape, stride):
+        return _conv2d_rows(xa, wa, padding)
     # One matmul per row tile of the gather.  Trailing axes (the probe
     # axis of gradcheck's stacked arrays) ride along: an output row holds
     # ``ow * prod(shape[4:])`` columns.  Sizes are explicit because an

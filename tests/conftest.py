@@ -50,26 +50,39 @@ def rng():
 def conv_tiles(request, monkeypatch):
     """Shrinks ``ops.TILE_BYTES`` for one conv2d or depthwise shape.
 
-    Both gather their patches in the row tiles of ``ops._row_tiles``.
-    Returns ``tile(shape, k, stride, padding, dtype)``, which sets the
-    budget so that the conv's row tiles are one output row high
-    ("one-row"), or three rows high with a shorter last tile ("ragged",
-    for an output height that 3 does not divide), and checks that they are.
+    Both gather their patches in the row tiles of ``ops._row_tiles``; a
+    conv2d that ``ops._lowers_rows`` takes, given its ``cout``, gathers
+    column shifts in the tiles of ``ops._shift_tiles`` instead, each with
+    k - 1 rows of halo.  Returns ``tile(shape, k, stride, padding, dtype,
+    cout=None)``, which sets the budget so that the conv's row tiles are
+    one output row high ("one-row"), or three rows high with a shorter
+    last tile ("ragged", for an output height that 3 does not divide), and
+    checks that they are.
     """
-    def tile(shape, k, stride, padding, dtype):
+    def tile(shape, k, stride, padding, dtype, cout=None):
         itemsize = np.dtype(dtype).itemsize
-        grid = ops._tap_grid(shape, k, stride, padding)
+        wshape = (cout, shape[1], k, k)
+        if cout is not None and ops._lowers_rows(shape, wshape, stride):
+            def heights():
+                return [hi - lo for lo, hi in ops._shift_tiles(shape, wshape, itemsize)]
 
-        def heights():
-            return [hi - lo for lo, hi, _, _ in ops._row_tiles(shape, grid, stride, itemsize)]
+            n, c, _, w = shape
+            budget = (3 + k - 1) * itemsize * n * k * max(c, cout) * w
+        else:
+            grid = ops._tap_grid(shape, k, stride, padding)
+
+            def heights():
+                return [hi - lo for lo, hi, _, _ in ops._row_tiles(shape, grid, stride, itemsize)]
+
+            oh, ow, *_ = grid
+            budget = 3 * itemsize * math.prod((*shape[:2], len(grid[4]), ow, *shape[4:]))
 
         monkeypatch.setattr(ops, "TILE_BYTES", 1)
         oh = len(heights())
         if request.param == "one-row":
             assert heights() == [1] * oh
         else:
-            row = next(ops._row_tiles(shape, grid, stride, itemsize))[3]
-            monkeypatch.setattr(ops, "TILE_BYTES", 3 * itemsize * math.prod(row))
+            monkeypatch.setattr(ops, "TILE_BYTES", budget)
             assert oh % 3 and heights() == [3] * (oh // 3) + [oh % 3]
 
     return tile

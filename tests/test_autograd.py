@@ -366,6 +366,16 @@ class TestPerOpGradients:
             dict(x=x, w=rng.normal(size=(4, 3, k, k))),
         )
 
+    @pytest.mark.parametrize("k", [3, 7])
+    @pytest.mark.parametrize("padding", [ops.ZERO, ops.REPLICATE])
+    def test_conv2d_row_lowering(self, rng, conv_tiles, k, padding):
+        # c_out <= c_in: the forward runs ops._conv2d_rows, and under zero
+        # padding so does the input VJP.
+        x, w = rng.normal(size=(2, 3, 7, 9)), rng.normal(size=(3, 3, k, k))
+        assert ops._lowers_rows(x.shape, w.shape, 1)
+        conv_tiles(x.shape, k, 1, padding, x.dtype, cout=3)
+        check_op_grads(lambda v: ag.conv2d(v["x"], v["w"], padding=padding), dict(x=x, w=w))
+
     def test_conv2d_strided_replicate(self, rng):
         check_op_grads(
             lambda v: ag.conv2d(v["x"], v["w"], stride=2, padding=ops.REPLICATE),

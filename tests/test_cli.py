@@ -273,11 +273,32 @@ class TestGradcheckCommand:
     def test_reduced_sweep_passes(self, capsys):
         rc = main(["gradcheck", "--variant", "tiny", "--seed", "0",
                    "--coords", "2", "--size", "32"])
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert rc == 0
         assert "result PASS tol=0.0001" in out
         assert "gradcheck max_rel_err=" in out
         assert "param=stem.conv7 max_rel_err=" in out
+        # At 32x32 the stage-4 maps are 1x1, where a batch-statistics norm
+        # outputs its shift: every stage-4 tensor but the three shifts that
+        # reach a level has zero gradient, so the check cannot see it.
+        seen = {"s4.drfd.an.norm.shift", "s4.b1.out.norm.shift", "s4.b2.out.norm.shift"}
+        unseen = [name for name, _ in build_model(BackboneConfig.for_variant("tiny")).learnable_items()
+                  if name.startswith("s4.") and name not in seen]
+        assert len(unseen) == 43
+        line = re.fullmatch(r'warning category=verify message="43 tensors have all-zero checked '
+                            r'gradients, analytic and numeric, so the check cannot see them: '
+                            r'([^"\n]*)"\n', err)
+        assert line, err
+        assert len(line[0]) <= len('warning category=verify message=""\n') + MESSAGE_CHARS
+        *names, last = line[1].removesuffix("...").split(" ")
+        assert names == unseen[: len(names)] and unseen[len(names)].startswith(last)
+
+    def test_no_unseen_tensors_at_64(self, capsys):
+        rc = main(["gradcheck", "--variant", "tiny", "--seed", "0",
+                   "--coords", "2", "--size", "64"])
+        out, err = capsys.readouterr()
+        assert rc == 0 and "result PASS tol=0.0001" in out
+        assert err == ""
 
 
 class TestErrorSurface:

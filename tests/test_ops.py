@@ -1,5 +1,6 @@
 """Forward semantics of the tensor primitives, checked against naive oracles."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -7,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from egnet import autograd as ag
 from egnet import ops
 from egnet.backbone import FIXED_KERNELS
 from egnet.errors import (
@@ -163,6 +165,89 @@ class TestConv2dRowTiles:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+
+# (n, c_in, c_out, k) on the odd 7x9 map: two shapes that ops._lowers_rows
+# takes and one it declines (c_out > c_in), which runs the k^2 gather.
+LOWERING_SHAPES = {"k7-3to3": ((2, 3, 3, 7), True), "k3-32to32": ((1, 32, 32, 3), True),
+                   "k3-3to16": ((2, 3, 16, 3), False)}
+
+
+@functools.cache
+def _lowering_case(case, padding):
+    """Float64 draws for one LOWERING_SHAPES case and the loop oracle's
+    forward ``y`` and, under zero padding, input VJP ``gx`` of the
+    projection ``g``: the correlation of g with the weight flipped on both
+    spatial axes and transposed (Dumoulin & Visin, arXiv 1603.07285)."""
+    (n, cin, cout, k), _ = LOWERING_SHAPES[case]
+    rng = np.random.default_rng(sorted(LOWERING_SHAPES).index(case))
+    x, g = rng.normal(size=(n, cin, 7, 9)), rng.normal(size=(n, cout, 7, 9))
+    w = rng.normal(size=(cout, cin, k, k))
+    y = conv2d_naive(x, w, padding=padding)
+    gx = conv2d_naive(g, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]) if padding == ops.ZERO else None
+    return x, w, g, y, gx
+
+
+@functools.cache
+def _non_finite_case(case, bad):
+    """A zero-padding case with ``bad`` at one pixel of x and of g, and
+    where the loop oracle's forward and input VJP stay finite."""
+    x, w, g, _, _ = _lowering_case(case, ops.ZERO)
+    x, g = x.copy(), g.copy()
+    x[-1, 0, 3, 5] = g[-1, -1, 3, 5] = bad
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(conv2d_naive(x, w))
+        finite_gx = np.isfinite(conv2d_naive(g, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]))
+    assert not (finite.all() or finite_gx.all())
+    return x, w, g, finite, finite_gx
+
+
+def _input_vjp(x, w, g, padding):
+    tape = ag.Tape()
+    xv = tape.leaf(Tensor(x), name="x")
+    return ag.backward(ag.sum_all(ag.mul(ag.conv2d(xv, Tensor(w), padding=padding), Tensor(g))))["x"]
+
+
+@pytest.mark.parametrize("case", sorted(LOWERING_SHAPES))
+class TestConv2dRowLowering:
+    """The stride-1 one-axis lowering (``ops._conv2d_rows``), and the shapes
+    it declines, against the loop oracle, in one-row and ragged tiles."""
+
+    @staticmethod
+    def _tiles(conv_tiles, case, x, padding, dtype):
+        (_, _, cout, k), lowered = LOWERING_SHAPES[case]
+        assert ops._lowers_rows(x.shape, (cout, x.shape[1], k, k), 1) == lowered
+        conv_tiles(x.shape, k, 1, padding, dtype, cout=cout)
+
+    @pytest.mark.parametrize("padding", [ops.ZERO, ops.REPLICATE])
+    def test_forward_matches_loop_oracle(self, conv_tiles, case, padding):
+        x, w, _, ref, _ = _lowering_case(case, padding)
+        for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
+            self._tiles(conv_tiles, case, x, padding, dtype)
+            got = ops.conv2d(Tensor(x.astype(dtype)), Tensor(w.astype(dtype)), padding=padding)
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got.data, ref, rtol=tol, atol=tol * np.abs(ref).max())
+
+    def test_input_vjp_matches_loop_oracle(self, conv_tiles, case):
+        x, w, g, _, ref = _lowering_case(case, ops.ZERO)
+        for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
+            self._tiles(conv_tiles, case, x, ops.ZERO, dtype)
+            got = _input_vjp(*(a.astype(dtype) for a in (x, w, g)), ops.ZERO)
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, ref, rtol=tol, atol=tol * np.abs(ref).max())
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_pixel_reaches_exactly_the_oracles_outputs(self, conv_tiles, case, bad):
+        # Row 3 of the 7 is inside a middle ragged tile and, with one-row
+        # tiles, in the halo of its neighbours, whose reused buffers must
+        # not carry it further.
+        x, w, g, finite, finite_gx = _non_finite_case(case, bad)
+        self._tiles(conv_tiles, case, x, ops.ZERO, x.dtype)
+        with np.errstate(invalid="ignore"):
+            got = ops.conv2d(Tensor(x), Tensor(w)).data
+            gx = _input_vjp(x, w, g, ops.ZERO)
+        np.testing.assert_array_equal(np.isfinite(got), finite)
+        np.testing.assert_array_equal(np.isfinite(gx), finite_gx)
 
 
 @pytest.mark.parametrize("shape", [(1, 3, 0, 0), (1, 3, 0, 5)], ids=["0x0", "0x5"])
