@@ -74,8 +74,8 @@ def conv_tiles(request, monkeypatch):
             def heights():
                 return [hi - lo for lo, hi, _, _ in ops._row_tiles(shape, grid, stride, itemsize)]
 
-            oh, ow, *_ = grid
-            budget = 3 * itemsize * math.prod((*shape[:2], len(grid[4]), ow, *shape[4:]))
+            _, ow, _, _, windows = grid
+            budget = 3 * itemsize * math.prod((*shape[:2], len(windows), ow, *shape[4:]))
 
         monkeypatch.setattr(ops, "TILE_BYTES", 1)
         oh = len(heights())
