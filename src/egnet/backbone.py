@@ -609,22 +609,7 @@ class _StackedOps:
 
     @staticmethod
     def conv2d(x, weight, *, stride=1):
-        if isinstance(weight, np.ndarray):
-            return ops._conv2d_raw(x, weight, stride, ops.ZERO)
-        values = iter(weight)
-        first = np.array(next(values))  # a copy: the probe buffer is reused
-        cout, cin, k = first.shape[:3]
-        oh, ow = ops._tap_grid(x.shape, k, stride, ops.ZERO)[:2]
-        cols = x.shape[0] * oh * ow * math.prod(x.shape[4:])
-        # Stack the values on c_out and gather x once, unless the patches
-        # each value would re-gather are smaller than copying the value and
-        # moving its outputs onto the probe axis.
-        if cin * k * k * cols <= first.size + 2 * cout * cols:
-            return _each(itertools.chain([first], values), lambda w: ops._conv2d_raw(x, w, stride, ops.ZERO))
-        ws = np.stack([first, *(np.array(w) for w in values)])
-        y = ops._conv2d_raw(x, ws.reshape(-1, cin, k, k), stride, ops.ZERO)
-        y = np.moveaxis(y.reshape(y.shape[0], len(ws), cout, *y.shape[2:]), 1, -2)
-        return np.ascontiguousarray(y).reshape(*y.shape[:4], -1)
+        return _each(weight, lambda w: ops._conv2d_raw(x, w, stride, ops.ZERO))
 
     def depthwise_conv2d(self, x, kernel, *, padding=ops.ZERO):
         if not (isinstance(kernel, np.ndarray) and kernel.ndim == 2):

@@ -696,3 +696,4 @@ class TestGradcheckReachesStage4:
         report = bb.backbone_gradcheck(tiny(), x, seed=0, coords_per_tensor=2)
         assert report.passed(1e-4), report.lines()[-1]
         assert [name for name, err in report.per_param.items() if err == 0.0] == []
+        assert report.unseen == []

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import egnet
+from egnet.autograd import GradReport
 from egnet.backbone import BackboneConfig, Model, Param, build_model
 from egnet.cli import MESSAGE_CHARS, main
 from egnet.kernels import scharr_kernels
@@ -293,9 +294,12 @@ class TestGradcheckCommand:
         *names, last = line[1].removesuffix("...").split(" ")
         assert names == unseen[: len(names)] and unseen[len(names)].startswith(last)
 
-    def test_no_unseen_tensors_at_64(self, capsys):
-        rc = main(["gradcheck", "--variant", "tiny", "--seed", "0",
-                   "--coords", "2", "--size", "64"])
+    def test_no_warning_when_every_tensor_is_seen(self, capsys, monkeypatch):
+        # TestGradcheckReachesStage4 checks that at 64x64 no tensor is unseen.
+        report = GradReport(eps=1e-3, dtype="float64", coords_per_tensor=2,
+                            per_param={"stem.conv7": 1e-9})
+        monkeypatch.setattr("egnet.cli.backbone_gradcheck", lambda *a, **k: report)
+        rc = main(["gradcheck", "--variant", "tiny", "--size", "32"])
         out, err = capsys.readouterr()
         assert rc == 0 and "result PASS tol=0.0001" in out
         assert err == ""
