@@ -356,7 +356,7 @@ def gelu(x):
         # In place, in the order of g (0.5 (1 + t) + 0.5 x (1 - t t) du)
         # with t = tanh(u) and du = c (1 + 3 (0.044715) x x).
         xa = xk()
-        t = ops._gelu_tanh(xa)
+        t = ops._gelu_raw(xa, tanh_only=True)
         h = np.multiply(t, t, out=np.empty_like(t))
         np.subtract(1.0, h, out=h)
         h *= 0.5 * xa

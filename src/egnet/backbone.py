@@ -351,9 +351,19 @@ def _norm(x, pview, prefix, mode):
     )
 
 
-def _an(x, pview, prefix, mode):
-    # Norm first, then GELU.
-    return pview.ops.gelu(_norm(x, pview, prefix, mode))
+def _conv_norm(op, x, pview, prefix, conv, norm, mode, rng=None, **kw):
+    """``op`` of ``x`` with parameter ``prefix + conv`` and keywords ``kw``, a dropout
+    mask from ``rng`` if given, then the norm ``prefix + norm``.  A plain running-statistics
+    forward without dropout folds the norm into the conv (RepVGG, arXiv 2101.03697): the
+    weight scales by ``a = scale * inv`` per output channel and ``shift - mean * a`` is its bias."""
+    w = pview(prefix + conv)
+    if mode.stats != "running" or rng is not None or isinstance(x, ag.Var) or isinstance(w, ag.Var):
+        t = getattr(pview.ops, op)(x, w, **kw)
+        t = t if rng is None else pview.ops.dropout(t, BackboneConfig.dropout_rate, rng)
+        return _norm(t, pview, prefix + norm, mode)
+    s, b, mean, var = (pview(prefix + norm + k).data for k in (".scale", ".shift", ".mean", ".var"))
+    a = s * (1.0 / np.sqrt(var + ops.BN_EPS))  # inv as ops._batchnorm computes it
+    return getattr(ops, op)(x, w.data * a[:, None, None, None], bias=b - mean * a, **kw)
 
 
 def _edge_attention(F, x, sx, sy):
@@ -385,11 +395,9 @@ def drfd_forward(x, pview, prefix, cfg, mode):
     h, w = _peek(x).shape[2:4]
     if h % 2 or w % 2:
         raise DimensionError(f"DRFD needs even spatial dims, got {h}x{w}", axis="h")
-    cpath = F.conv2d(x, pview(prefix + ".conv3"), stride=2)
-    cpath = _norm(cpath, pview, prefix + ".norm_conv.norm", mode)
-    ppath = F.conv2d(F.maxpool2d(x), pview(prefix + ".conv1"))
-    ppath = _norm(ppath, pview, prefix + ".norm_pool.norm", mode)
-    return _an(F.add(cpath, ppath), pview, prefix + ".an.norm", mode)
+    cpath = _conv_norm("conv2d", x, pview, prefix, ".conv3", ".norm_conv.norm", mode, stride=2)
+    ppath = _conv_norm("conv2d", F.maxpool2d(x), pview, prefix, ".conv1", ".norm_pool.norm", mode)
+    return F.gelu(_norm(F.add(cpath, ppath), pview, prefix + ".an.norm", mode))
 
 
 def log_stem_forward(x, pview, cfg, mode):
@@ -400,7 +408,7 @@ def log_stem_forward(x, pview, cfg, mode):
         raise DimensionError(f"stem needs spatial dims divisible by 4, got {h}x{w}", axis="h")
     t = F.conv2d(x, pview("stem.conv7"))
     t = F.depthwise_conv2d(t, pview("fixed.log7"), padding=ops.REPLICATE)
-    t = _an(t, pview, "stem.an_log.norm", mode)
+    t = F.gelu(_norm(t, pview, "stem.an_log.norm", mode))
     f_log = _norm(F.add(x, t), pview, "stem.res.norm", mode)
     t = F.conv2d(f_log, pview("stem.conv3"))
     f1 = F.conv2d(t, pview("stem.convd3"), stride=2)
@@ -413,12 +421,9 @@ def log_stem_forward(x, pview, cfg, mode):
 def conv_block_forward(x, pview, prefix, mode):
     """1x1 conv, AN, depthwise 3x3, AN, 1x1 conv, norm; width stays fixed."""
     F = pview.ops
-    t = F.conv2d(x, pview(prefix + ".c1"))
-    t = _an(t, pview, prefix + ".an1.norm", mode)
-    t = F.depthwise_conv2d(t, pview(prefix + ".c3"))
-    t = _an(t, pview, prefix + ".an2.norm", mode)
-    t = F.conv2d(t, pview(prefix + ".c2"))
-    return _norm(t, pview, prefix + ".out.norm", mode)
+    t = F.gelu(_conv_norm("conv2d", x, pview, prefix, ".c1", ".an1.norm", mode))
+    t = F.gelu(_conv_norm("depthwise_conv2d", t, pview, prefix, ".c3", ".an2.norm", mode))
+    return _conv_norm("conv2d", t, pview, prefix, ".c2", ".out.norm", mode)
 
 
 def _stage_attention(x, stage, pview):
@@ -449,12 +454,9 @@ def leg_block_forward(x, stage, pview, prefix, cfg, mode):
     """Shape-preserving block: LEG module, 1x1 expand/reduce, dropout, residual."""
     F = pview.ops
     t = leg_module_forward(x, stage, pview, prefix, mode)
-    t = F.conv2d(t, pview(prefix + ".expand"))
-    t = _an(t, pview, prefix + ".an.norm", mode)
-    t = F.conv2d(t, pview(prefix + ".reduce"))
-    t = F.dropout(t, cfg.dropout_rate, rng=mode.dropout_rng(prefix))
-    t = _norm(t, pview, prefix + ".out.norm", mode)
-    return F.add(x, t)
+    t = F.gelu(_conv_norm("conv2d", t, pview, prefix, ".expand", ".an.norm", mode))
+    rng = mode.dropout_rng(prefix)
+    return F.add(x, _conv_norm("conv2d", t, pview, prefix, ".reduce", ".out.norm", mode, rng))
 
 
 def _segments(cfg, skip_blocks=False):

@@ -42,6 +42,8 @@ TILE_BYTES = 4 << 20
 # Outputs per GEMM of a shared filter's 1-D passes (see _separable_raw).
 BAND = 64
 
+GELU_BLOCK = 1 << 15  # elements per block of the GELU passes (_gelu_raw): 128 kB in float32
+
 
 def _data(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x)
@@ -164,8 +166,8 @@ def _shifted_sum(x: np.ndarray, kern: np.ndarray, stride: int, padding: str) -> 
     return y
 
 
-def conv2d(x, weight, *, stride: int = 1, padding: str = ZERO) -> Tensor:
-    """Standard 2-D convolution, ``(n,c_in,h,w) -> (n,c_out,h',w')``."""
+def conv2d(x, weight, *, stride: int = 1, padding: str = ZERO, bias=None) -> Tensor:
+    """Standard 2-D convolution, ``(n,c_in,h,w) -> (n,c_out,h',w')``, plus an optional bias."""
     xa, wa = _data(x), _data(weight)
     _check_padding(padding)
     if xa.ndim != 4:
@@ -186,7 +188,19 @@ def conv2d(x, weight, *, stride: int = 1, padding: str = ZERO) -> Tensor:
             axis="c",
         )
     _check_same_dtype(xa, wa)
-    return Tensor._wrap(_conv2d_raw(xa, wa, stride, padding))
+    return _biased(_conv2d_raw, (xa, wa, stride, padding), bias, wa.shape[0], "conv2d")
+
+
+def _biased(raw, args, bias, c: int, op: str) -> Tensor:
+    # raw(*args) plus the checked (c,) bias per channel, in place on its fresh output.
+    if bias is None:
+        return Tensor._wrap(raw(*args))
+    ba = _data(bias)
+    if ba.shape != (c,):
+        raise DimensionError(f"{op} bias must have shape ({c},), got {ba.shape}", axis="c")
+    _check_same_dtype(args[0], ba)
+    y = raw(*args)
+    return Tensor._wrap(np.add(y, ba[:, None, None], out=y))
 
 
 def _lowers_rows(xshape, wshape, stride: int) -> bool:
@@ -262,8 +276,8 @@ def _conv2d_raw(xa, wa, stride, padding) -> np.ndarray:
     return y
 
 
-def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ZERO) -> Tensor:
-    """Per-channel convolution.
+def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ZERO, bias=None) -> Tensor:
+    """Per-channel convolution, plus an optional ``(c,)`` bias per channel.
 
     ``kernel`` is either ``(c, 1, k, k)`` with one filter per input channel,
     or a single shared ``(k, k)`` filter applied identically to every
@@ -295,7 +309,7 @@ def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ZERO) -> Tens
     if stride not in (1, 2):
         raise ConfigError(f"depthwise stride must be 1 or 2, got {stride}")
     _check_same_dtype(xa, ka)
-    return Tensor._wrap(_depthwise_raw(xa, ka, stride, padding))
+    return _biased(_depthwise_raw, (xa, ka, stride, padding), bias, xa.shape[1], "depthwise")
 
 
 def _low_rank(ka):
@@ -493,23 +507,23 @@ def gelu(x) -> Tensor:
     return Tensor._wrap(_gelu_raw(xa))
 
 
-def _gelu_raw(xa) -> np.ndarray:
-    # In one buffer, in the order of 0.5 x (1 + tanh(c (x + 0.044715 x x x))).
-    u = _gelu_tanh(xa)
-    u += 1.0
-    u *= 0.5 * xa
-    return u
-
-
-def _gelu_tanh(xa) -> np.ndarray:
-    # tanh(c (x + 0.044715 x x x)) in one fresh buffer, in that order.
-    u = np.asarray(xa * 0.044715)  # an array even for a rank-0 input
-    u *= xa
-    u *= xa
-    u += xa
-    u *= _GELU_C
-    np.tanh(u, out=u)
-    return u
+def _gelu_raw(xa, tanh_only: bool = False) -> np.ndarray:
+    # 0.5 x (1 + tanh(c (x + 0.044715 x x x))), or the tanh alone (the VJP's), in
+    # that order in one fresh buffer, GELU_BLOCK elements at a time (in cache).
+    x = np.ascontiguousarray(xa).reshape(-1)
+    y, half = np.empty_like(x), np.empty_like(x[:GELU_BLOCK])
+    for lo in range(0, x.size, GELU_BLOCK):
+        xb, u = x[lo : lo + GELU_BLOCK], y[lo : lo + GELU_BLOCK]
+        np.multiply(xb, 0.044715, out=u)
+        u *= xb
+        u *= xb
+        u += xb
+        u *= _GELU_C
+        np.tanh(u, out=u)
+        if not tanh_only:
+            u += 1.0
+            u *= np.multiply(0.5, xb, out=half[: len(xb)])
+    return y.reshape(np.shape(xa))
 
 
 def sigmoid(x) -> Tensor:

@@ -41,6 +41,28 @@ def assert_error_line(err, category):
     assert len(line[1]) <= MESSAGE_CHARS, err[:1000]
 
 
+def gelu_probes(rng, dtype, size):
+    """Inputs of the GELU bitwise tests, by name: ``size`` values led by
+    +-0, +-1e30, NaN, +-inf and +-1; one ``ops.GELU_BLOCK`` of values, one
+    less and one more; a rank-0 value; a strided, transposed view; and a
+    probe-stacked rank-5 array.  The last two end in a ragged block."""
+    def draw(*shape):
+        return np.asarray(rng.normal(scale=4.0, size=shape)).astype(dtype)
+
+    flat = draw(size)
+    flat[:9] = [0.0, -0.0, 1e30, -1e30, np.nan, np.inf, -np.inf, 1.0, -1.0]
+    block = ops.GELU_BLOCK
+    return {
+        "flat": flat,
+        "block-1": draw(block - 1),
+        "block": draw(block),
+        "block+1": draw(block + 1),
+        "rank-0": draw(),
+        "strided": draw(3, 40, 70, 10)[:, ::2, 1:, 1:9].transpose(0, 3, 2, 1),
+        "rank-5": draw(2, 4, 16, 16, 21),
+    }
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

@@ -25,6 +25,7 @@ from egnet.backbone import (
 from egnet.errors import ConfigError, ContractError, VerificationError
 from egnet.tensor import Tensor
 
+from conftest import gelu_probes
 from oracles import conv1d_naive, depthwise_naive
 
 
@@ -468,18 +469,18 @@ class TestPerOpGradients:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gelu_vjp_bitwise_equals_textbook_formula(self, rng, dtype):
-        x = rng.normal(scale=4.0, size=100_000).astype(dtype)
-        x[:9] = [0.0, -0.0, 1e30, -1e30, np.nan, np.inf, -np.inf, 1.0, -1.0]
-        g = rng.normal(size=x.shape).astype(dtype)
         c = math.sqrt(2.0 / math.pi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = np.tanh(c * (x + 0.044715 * x * x * x))
-            du = c * (1.0 + 3.0 * 0.044715 * x * x)
-            textbook = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
-            out = ag.gelu(Tape().leaf(Tensor(x), name="x"))
-            (got,) = out.tape.nodes[out.index].vjp(g, (True,))
-        assert got.dtype == dtype
-        assert got.tobytes() == textbook.tobytes()
+        grads = gelu_probes(rng, dtype, 100_000)
+        for name, x in gelu_probes(rng, dtype, 100_000).items():
+            g = grads[name]
+            with np.errstate(over="ignore", invalid="ignore"):
+                t = np.tanh(c * (x + 0.044715 * x * x * x))
+                du = c * (1.0 + 3.0 * 0.044715 * x * x)
+                textbook = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+                out = ag.gelu(Tape().leaf(Tensor(x), name="x"))
+                (got,) = out.tape.nodes[out.index].vjp(g, (True,))
+            assert got.dtype == dtype and got.shape == x.shape, name
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(textbook).tobytes(), name
 
     def test_sigmoid(self, rng):
         check_op_grads(lambda v: ag.sigmoid(v["x"]), dict(x=rng.normal(size=(2, 8))))

@@ -49,6 +49,72 @@ def zero_convs(model, prefixes):
     return model.with_values(out)
 
 
+# Norm statistics for the composition tests: every norm gets a non-identity
+# scale, shift, mean and var, so a dropped or doubled term of the fold shows.
+def with_stats(model, rng, dtype):
+    out = {}
+    for name, p in model.params.items():
+        kind = name.rsplit(".", 1)[1]
+        c = p.value.shape[0]
+        if kind == "scale":
+            out[name] = rng.uniform(0.5, 1.5, c)
+        elif kind in ("shift", "mean"):
+            out[name] = rng.normal(0.0, 0.5, c)
+        elif kind == "var":
+            out[name] = rng.uniform(0.5, 2.0, c)
+    return model.with_values(out).astype(dtype)
+
+
+# (stats, dtype) of the composition tests.  Batch statistics run each norm
+# as written, so the block functions equal the ops composition bitwise; the
+# plain running-statistics forward folds the norms that follow a conv into
+# it, which holds to FOLD_TOL[dtype] * max|out|.
+COMPOSITION_MODES = [
+    pytest.param("batch", np.float32, id="batch"),
+    pytest.param("running", np.float32, id="running-float32"),
+    pytest.param("running", np.float64, id="running-float64"),
+]
+FOLD_TOL = {np.float32: 2e-6, np.float64: 1e-12}
+
+
+def assert_composition(got, expected, stats, dtype):
+    assert got.dtype == expected.dtype == dtype
+    if stats == "batch":
+        np.testing.assert_array_equal(got.data, expected.data)
+    else:
+        err = np.abs(got.data - expected.data).max()
+        assert err <= FOLD_TOL[dtype] * np.abs(expected.data).max(), err
+
+
+def norm_oracle(P, stats):
+    def bn(t, prefix):
+        return ops.batchnorm2d(t, P[prefix + ".scale"], P[prefix + ".shift"], mode=stats,
+                               mean=P[prefix + ".mean"], var=P[prefix + ".var"])
+    return bn
+
+
+def leg_block_oracle(x, P, stats, drop_rng):
+    """``s1.b1`` of a tiny model as a straight line of ``ops`` calls."""
+    bn = norm_oracle(P, stats)
+    gx = ops.depthwise_conv2d(x, P["fixed.scharr_x"], padding=ops.REPLICATE)
+    gy = ops.depthwise_conv2d(x, P["fixed.scharr_y"], padding=ops.REPLICATE)
+    att = ops.sqrt_eps(ops.add(ops.mul(gx, gx), ops.mul(gy, gy)))
+    t = ops.conv2d(ops.add(x, att), P["s1.b1.ega.convblock.c1"])
+    t = ops.gelu(bn(t, "s1.b1.ega.convblock.an1.norm"))
+    t = ops.depthwise_conv2d(t, P["s1.b1.ega.convblock.c3"])
+    t = ops.gelu(bn(t, "s1.b1.ega.convblock.an2.norm"))
+    t = ops.conv2d(t, P["s1.b1.ega.convblock.c2"])
+    fa = bn(t, "s1.b1.ega.convblock.out.norm")
+    f_ega = ops.conv2d(ops.add(ops.mul(x, fa), x), P["s1.b1.ega.conv3"])
+    gates = ops.sigmoid(ops.conv1d_channels(ops.global_avg_pool(f_ega), P["s1.b1.eca.w"]))
+    f_o = bn(ops.add(ops.scale_channels(f_ega, gates), x), "s1.b1.leg.norm")
+    t = ops.conv2d(f_o, P["s1.b1.expand"])
+    t = ops.gelu(bn(t, "s1.b1.an.norm"))
+    t = ops.conv2d(t, P["s1.b1.reduce"])
+    t = ops.dropout(t, BackboneConfig.dropout_rate, rng=drop_rng)
+    return ops.add(x, bn(t, "s1.b1.out.norm"))
+
+
 class TestConfig:
     def test_variants(self):
         assert BackboneConfig.for_variant("tiny").width == 32
@@ -226,6 +292,18 @@ class TestStemAndDrfd:
         out = drfd_forward(x, ParamView(model), "s2.drfd", model.config, Mode())
         np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
+    @pytest.mark.parametrize("stats, dtype", COMPOSITION_MODES)
+    def test_drfd_matches_composition(self, rng, stats, dtype):
+        m = with_stats(tiny(), rng, dtype)
+        P = {n: p.value for n, p in m.params.items()}
+        x = Tensor(rng.normal(size=(2, 32, 8, 8)).astype(dtype))
+        got = drfd_forward(x, ParamView(m), "s2.drfd", m.config, Mode(stats=stats))
+        bn = norm_oracle(P, stats)
+        cpath = bn(ops.conv2d(x, P["s2.drfd.conv3"], stride=2), "s2.drfd.norm_conv.norm")
+        ppath = bn(ops.conv2d(ops.maxpool2d(x), P["s2.drfd.conv1"]), "s2.drfd.norm_pool.norm")
+        expected = ops.gelu(bn(ops.add(cpath, ppath), "s2.drfd.an.norm"))
+        assert_composition(got, expected, stats, dtype)
+
     def test_drfd_rejects_odd_input(self, rng):
         m = tiny()
         x = Tensor(rng.normal(size=(1, 32, 7, 8)).astype(np.float32))
@@ -246,27 +324,21 @@ class TestConvBlock:
         out = conv_block_forward(x, ParamView(m), "s1.b1.ega.convblock", Mode())
         assert out.shape == x.shape
 
-    def test_matches_straight_line_composition(self, rng):
-        m = tiny()
-        x = Tensor(rng.normal(size=(2, 32, 8, 8)).astype(np.float32))
-        mode = Mode(stats="batch")
-        got = conv_block_forward(x, ParamView(m), "s1.b1.ega.convblock", mode)
+    @pytest.mark.parametrize("stats, dtype", COMPOSITION_MODES)
+    def test_matches_straight_line_composition(self, rng, stats, dtype):
+        m = with_stats(tiny(), rng, dtype)
+        x = Tensor(rng.normal(size=(2, 32, 8, 8)).astype(dtype))
+        got = conv_block_forward(x, ParamView(m), "s1.b1.ega.convblock", Mode(stats=stats))
 
         P = {n: p.value for n, p in m.params.items()}
         pre = "s1.b1.ega.convblock"
-
-        def bn(t, norm):
-            return ops.batchnorm2d(
-                t, P[f"{pre}.{norm}.scale"], P[f"{pre}.{norm}.shift"], mode="batch"
-            )
-
+        bn = norm_oracle(P, stats)
         t = ops.conv2d(x, P[pre + ".c1"])
-        t = ops.gelu(bn(t, "an1.norm"))
+        t = ops.gelu(bn(t, pre + ".an1.norm"))
         t = ops.depthwise_conv2d(t, P[pre + ".c3"])
-        t = ops.gelu(bn(t, "an2.norm"))
+        t = ops.gelu(bn(t, pre + ".an2.norm"))
         t = ops.conv2d(t, P[pre + ".c2"])
-        expected = bn(t, "out.norm")
-        np.testing.assert_array_equal(got.data, expected.data)
+        assert_composition(got, bn(t, pre + ".out.norm"), stats, dtype)
 
 
 class TestEga:
@@ -372,38 +444,27 @@ class TestLegBlock:
                     )
                     assert out.shape == x.shape
 
-    def test_matches_composition_oracle(self, rng):
-        m = tiny()
-        cfg = m.config
+    @pytest.mark.parametrize("dropout_seed", [None, 7])
+    @pytest.mark.parametrize("stats, dtype", COMPOSITION_MODES)
+    def test_matches_composition_oracle(self, rng, stats, dtype, dropout_seed):
+        m = with_stats(tiny(), rng, dtype)
+        P = {n: p.value for n, p in m.params.items()}
+        x = Tensor(rng.normal(size=(1, 32, 8, 8)).astype(dtype))
+        mode = Mode(stats=stats, dropout_seed=dropout_seed)
+        got = leg_block_forward(x, 1, ParamView(m), "s1.b1", m.config, mode)
+        expected = leg_block_oracle(x, P, stats, mode.dropout_rng("s1.b1"))
+        assert_composition(got, expected, stats, dtype)
+
+    @pytest.mark.parametrize("dropout_seed", [None, 7])
+    def test_taped_running_forward_is_not_folded(self, rng, dropout_seed):
+        m = with_stats(tiny(), rng, np.float32)
         P = {n: p.value for n, p in m.params.items()}
         x = Tensor(rng.normal(size=(1, 32, 8, 8)).astype(np.float32))
-        mode = Mode(stats="batch")
-        got = leg_block_forward(x, 1, ParamView(m), "s1.b1", cfg, mode)
-
-        def bn(t, prefix):
-            return ops.batchnorm2d(
-                t, P[prefix + ".scale"], P[prefix + ".shift"], mode="batch"
-            )
-
-        # LEG module
-        gx = ops.depthwise_conv2d(x, P["fixed.scharr_x"], padding=ops.REPLICATE)
-        gy = ops.depthwise_conv2d(x, P["fixed.scharr_y"], padding=ops.REPLICATE)
-        att = ops.sqrt_eps(ops.add(ops.mul(gx, gx), ops.mul(gy, gy)))
-        t = ops.conv2d(ops.add(x, att), P["s1.b1.ega.convblock.c1"])
-        t = ops.gelu(bn(t, "s1.b1.ega.convblock.an1.norm"))
-        t = ops.depthwise_conv2d(t, P["s1.b1.ega.convblock.c3"])
-        t = ops.gelu(bn(t, "s1.b1.ega.convblock.an2.norm"))
-        t = ops.conv2d(t, P["s1.b1.ega.convblock.c2"])
-        fa = bn(t, "s1.b1.ega.convblock.out.norm")
-        f_ega = ops.conv2d(ops.add(ops.mul(x, fa), x), P["s1.b1.ega.conv3"])
-        gates = ops.sigmoid(ops.conv1d_channels(ops.global_avg_pool(f_ega), P["s1.b1.eca.w"]))
-        f_o = bn(ops.add(ops.scale_channels(f_ega, gates), x), "s1.b1.leg.norm")
-        # block tail
-        t = ops.conv2d(f_o, P["s1.b1.expand"])
-        t = ops.gelu(bn(t, "s1.b1.an.norm"))
-        t = ops.conv2d(t, P["s1.b1.reduce"])
-        expected = ops.add(x, bn(t, "s1.b1.out.norm"))
-        np.testing.assert_array_equal(got.data, expected.data)
+        mode = Mode(stats="running", dropout_seed=dropout_seed)
+        tape = ag.Tape()
+        got = leg_block_forward(tape.leaf(x), 1, ParamView(m, tape), "s1.b1", m.config, mode)
+        expected = leg_block_oracle(x, P, "running", mode.dropout_rng("s1.b1"))
+        assert got.value.data.tobytes() == expected.data.tobytes()
 
 
 class TestBackboneForward:

@@ -21,6 +21,7 @@ from egnet.errors import (
 from egnet.kernels import gaussian_kernel
 from egnet.tensor import Tensor
 
+from conftest import gelu_probes
 from oracles import (
     batchnorm_naive,
     conv1d_naive,
@@ -260,6 +261,18 @@ def test_replicate_padding_of_an_empty_map_is_a_dimension_error(rng, op, kshape,
     assert err.value.axis == "h"
 
 
+@pytest.mark.parametrize("op, kshape, stride", [
+    (ops.conv2d, (4, 3, 3, 3), 1), (ops.conv2d, (4, 3, 3, 3), 2), (ops.conv2d, (4, 3, 1, 1), 1),
+    (ops.depthwise_conv2d, (3, 1, 3, 3), 1), (ops.depthwise_conv2d, (5, 5), 2),
+], ids=["conv2d-k3", "conv2d-k3-s2", "conv2d-k1", "depthwise", "depthwise-shared-s2"])
+def test_bias_adds_once_per_output_channel(rng, op, kshape, stride):
+    x, kernel = _t(rng.normal(size=(2, 3, 7, 6))), _t(rng.normal(size=kshape))
+    plain = op(x, kernel, stride=stride).data
+    bias = _t(rng.normal(size=plain.shape[1]))
+    got = op(x, kernel, stride=stride, bias=bias).data
+    assert got.tobytes() == (plain + bias.data[:, None, None]).tobytes()
+
+
 SHARED_KERNELS = dict(FIXED_KERNELS)
 SHARED_KERNELS["random5"] = np.random.default_rng(7).normal(size=(5, 5))
 
@@ -474,13 +487,13 @@ class TestElementwise:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gelu_bitwise_equals_textbook_formula(self, rng, dtype):
-        x = rng.normal(scale=4.0, size=1_000_000).astype(dtype)
-        x[:9] = [0.0, -0.0, 1e30, -1e30, np.nan, np.inf, -np.inf, 1.0, -1.0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            textbook = 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x * x * x)))
-            got = ops.gelu(Tensor(x)).data
-        assert got.dtype == dtype
-        assert got.tobytes() == textbook.tobytes()
+        # Raw arrays keep their strides and rank on the way into the kernel.
+        for name, x in gelu_probes(rng, dtype, 1_000_000).items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                textbook = 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x * x * x)))
+                got = ops.gelu(x).data
+            assert got.dtype == dtype and got.shape == x.shape, name
+            assert got.tobytes() == np.ascontiguousarray(textbook).tobytes(), name
 
     def test_sigmoid_at_zero(self):
         assert ops.sigmoid(_t([0.0])).data[0] == 0.5
@@ -619,6 +632,14 @@ BAD_INPUTS = [
      ConfigError, None),
     ("depthwise-stride", lambda: ops.depthwise_conv2d(_z(1, 2, 4, 4), _z(3, 3), stride=3),
      ConfigError, None),
+    ("conv2d-bias-shape", lambda: ops.conv2d(_z(1, 2, 4, 4), _z(3, 2, 1, 1), bias=_z(2)),
+     DimensionError, "c"),
+    ("conv2d-bias-dtype", lambda: ops.conv2d(_z(1, 2, 4, 4), _z(3, 2, 1, 1), bias=np.zeros(3)),
+     ContractError, None),
+    ("depthwise-bias-shape", lambda: ops.depthwise_conv2d(_z(1, 2, 4, 4), _z(3, 3), bias=_z(2, 1)),
+     DimensionError, "c"),
+    ("depthwise-bias-dtype", lambda: ops.depthwise_conv2d(_z(1, 2, 4, 4), _z(3, 3), bias=np.zeros(2)),
+     ContractError, None),
     ("conv1d-weight-rank", lambda: ops.conv1d_channels(_z(1, 4), _z(1, 3)), DimensionError, "k"),
     ("conv1d-input-rank", lambda: ops.conv1d_channels(_z(1, 4, 1), _z(3)), DimensionError, "c"),
     ("maxpool-rank", lambda: ops.maxpool2d(_z(1, 4, 4)), DimensionError, "n"),
