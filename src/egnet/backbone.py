@@ -351,19 +351,41 @@ def _norm(x, pview, prefix, mode):
     )
 
 
+def _folds(mode, *operands, rng=None) -> bool:
+    # Whether linear layers may be folded together (RepVGG, arXiv 2101.03697): on a
+    # running-statistics forward with no dropout generator and no taped operand.
+    taped = any(isinstance(a, ag.Var) for a in operands)
+    return mode.stats == "running" and rng is None and not taped
+
+
 def _conv_norm(op, x, pview, prefix, conv, norm, mode, rng=None, **kw):
     """``op`` of ``x`` with parameter ``prefix + conv`` and keywords ``kw``, a dropout
-    mask from ``rng`` if given, then the norm ``prefix + norm``.  A plain running-statistics
-    forward without dropout folds the norm into the conv (RepVGG, arXiv 2101.03697): the
-    weight scales by ``a = scale * inv`` per output channel and ``shift - mean * a`` is its bias."""
+    mask from ``rng`` if given, then the norm ``prefix + norm``.  Where :func:`_folds`
+    holds, the norm is folded into the conv: the weight scales by ``a = scale * inv``
+    per output channel and ``shift - mean * a`` is its bias."""
     w = pview(prefix + conv)
-    if mode.stats != "running" or rng is not None or isinstance(x, ag.Var) or isinstance(w, ag.Var):
+    if not _folds(mode, x, w, rng=rng):
         t = getattr(pview.ops, op)(x, w, **kw)
         t = t if rng is None else pview.ops.dropout(t, BackboneConfig.dropout_rate, rng)
         return _norm(t, pview, prefix + norm, mode)
     s, b, mean, var = (pview(prefix + norm + k).data for k in (".scale", ".shift", ".mean", ".var"))
     a = s * (1.0 / np.sqrt(var + ops.BN_EPS))  # inv as ops._batchnorm computes it
     return getattr(ops, op)(x, w.data * a[:, None, None, None], bias=b - mean * a, **kw)
+
+
+def _conv_pair(x, w1, w2) -> Tensor:
+    """``conv2d(conv2d(x, w1), w2, stride=2)`` for 3x3 ``w1``, ``w2`` as one 5x5 stride-2 conv,
+    its weight composed in float64.  On even sides only output row 0 and column 0 differ (``w2``
+    reads the intermediate's zero padding there); the chain on 4-row, 4-column slabs redoes them."""
+    taps = np.einsum("mkij,kcab->mcijab", w2, w1, dtype=np.float64)
+    w = np.zeros((*taps.shape[:2], 5, 5))
+    for i, j in itertools.product(range(3), repeat=2):
+        w[:, :, i : i + 3, j : j + 3] += taps[:, :, i, j]
+    y = np.array(ops.conv2d(x, w.astype(x.dtype), stride=2).data)  # writable
+    chain = lambda s: ops._conv2d_raw(ops._conv2d_raw(s, w1, 1, ops.ZERO), w2, 2, ops.ZERO)
+    y[:, :, 0] = chain(x.data[:, :, :4])[:, :, 0]
+    y[:, :, :, 0] = chain(x.data[:, :, :, :4])[:, :, :, 0]
+    return Tensor._wrap(y)
 
 
 def _edge_attention(F, x, sx, sy):
@@ -409,9 +431,12 @@ def log_stem_forward(x, pview, cfg, mode):
     t = F.conv2d(x, pview("stem.conv7"))
     t = F.depthwise_conv2d(t, pview("fixed.log7"), padding=ops.REPLICATE)
     t = F.gelu(_norm(t, pview, "stem.an_log.norm", mode))
-    f_log = _norm(F.add(x, t), pview, "stem.res.norm", mode)
-    t = F.conv2d(f_log, pview("stem.conv3"))
-    f1 = F.conv2d(t, pview("stem.convd3"), stride=2)
+    t = _norm(F.add(x, t), pview, "stem.res.norm", mode)  # f_log; rebinding t frees the GELU map
+    w1, w2 = pview("stem.conv3"), pview("stem.convd3")
+    if _folds(mode, t, w1, w2):  # no norm or nonlinearity sits between the two convs
+        f1 = _conv_pair(t, w1.data, w2.data)
+    else:
+        f1 = F.conv2d(F.conv2d(t, w1), w2, stride=2)
     t = F.depthwise_conv2d(f1, pview("fixed.gauss9_s05"), padding=ops.REPLICATE)
     t = _norm(F.add(t, f1), pview, "stem.mid.norm", mode)
     t = F.depthwise_conv2d(t, pview("fixed.gauss5_s05"), padding=ops.REPLICATE)

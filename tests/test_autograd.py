@@ -19,6 +19,7 @@ from egnet.backbone import (
     _pyramid_forward,
     _pyramid_loss,
     build_model,
+    eca_kernel_size,
     edge_attention,
     leg_block_forward,
 )
@@ -431,10 +432,13 @@ class TestPerOpGradients:
                                                          padding):
         self.test_depthwise_low_rank_fixed_kernel(rng, name, stride, padding)
 
-    def test_conv1d_channels(self, rng):
+    # Every ECA width of both variants, each with its own kernel size; stage 4's
+    # gradients sit under the whole-model check's floor, so only this test sees them.
+    @pytest.mark.parametrize("c", [16, 32, 64, 128, 256, 512])
+    def test_conv1d_channels(self, rng, c):
         check_op_grads(
             lambda v: ag.conv1d_channels(v["v"], v["w"]),
-            dict(v=rng.normal(size=(2, 16)), w=rng.normal(size=5)),
+            dict(v=rng.normal(size=(2, c)), w=rng.normal(size=eca_kernel_size(c))),
         )
 
     def test_maxpool(self, rng):

@@ -1,5 +1,9 @@
 """Backbone architecture: shapes, attention behavior, blocks, and builds."""
 
+import os
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +33,17 @@ from egnet.backbone import (
 from egnet.errors import ConfigError, ContractError, DimensionError
 from egnet.kernels import gaussian_kernel, log_kernel, scharr_kernels
 from egnet.tensor import Tensor
+
+
+def benchmark_tracer():
+    """The benchmark's ``perfbench/spans.py`` and a tracer of it, not yet installed,
+    that records request 0."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    import spans
+
+    tracer = spans.Tracer()
+    tracer.request = 0
+    return spans, tracer
 
 
 def tiny(seed=0):
@@ -91,6 +106,27 @@ def norm_oracle(P, stats):
         return ops.batchnorm2d(t, P[prefix + ".scale"], P[prefix + ".shift"], mode=stats,
                                mean=P[prefix + ".mean"], var=P[prefix + ".var"])
     return bn
+
+
+def drfd_oracle(x, P, prefix, stats):
+    """A DRFD as a straight line of ``ops`` calls."""
+    bn = norm_oracle(P, stats)
+    cpath = bn(ops.conv2d(x, P[prefix + ".conv3"], stride=2), prefix + ".norm_conv.norm")
+    ppath = bn(ops.conv2d(ops.maxpool2d(x), P[prefix + ".conv1"]), prefix + ".norm_pool.norm")
+    return ops.gelu(bn(ops.add(cpath, ppath), prefix + ".an.norm"))
+
+
+def stem_oracle(x, P, stats):
+    """The LoG stem as a straight line of ``ops`` calls, its two 3x3 convs unfolded."""
+    bn = norm_oracle(P, stats)
+    t = ops.depthwise_conv2d(ops.conv2d(x, P["stem.conv7"]), P["fixed.log7"],
+                             padding=ops.REPLICATE)
+    f_log = bn(ops.add(x, ops.gelu(bn(t, "stem.an_log.norm"))), "stem.res.norm")
+    f1 = ops.conv2d(ops.conv2d(f_log, P["stem.conv3"]), P["stem.convd3"], stride=2)
+    t = ops.depthwise_conv2d(f1, P["fixed.gauss9_s05"], padding=ops.REPLICATE)
+    t = bn(ops.add(t, f1), "stem.mid.norm")
+    t = ops.depthwise_conv2d(t, P["fixed.gauss5_s05"], padding=ops.REPLICATE)
+    return drfd_oracle(t, P, "stem.drfd", stats)
 
 
 def leg_block_oracle(x, P, stats, drop_rng):
@@ -166,19 +202,26 @@ class TestContractErrors:
     def test_gradcheck_under_the_benchmark_tracer(self, rng):
         # The tracer hands finite_diff_check a plain function that calls the
         # backbone's loss object once per probe, so that object must be callable.
-        import os
-        import sys
-
-        sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
-        import spans
-
         x = Tensor(rng.normal(size=(1, 3, 32, 32)).astype(np.float32))
-        tracer = spans.Tracer()
-        tracer.request = 0
+        _, tracer = benchmark_tracer()
         with tracer:
             report = bb.backbone_gradcheck(tiny(), x, coords_per_tensor=1)
         assert report.passed(1e-4)
         assert any(rec[0] == "autograd.fd.loss" for rec in tracer.spans)
+
+    def test_running_forward_under_the_benchmark_tracer(self, rng):
+        # The tracer reads the shapes of every public op's operands, so the folds
+        # must hand ops a Tensor input.  The stem's 5x5 conv is an ``other`` op;
+        # the spine's other 3x3 convs are the four DRFD stride-2 convs.
+        x = Tensor(rng.uniform(0.0, 1.0, size=(1, 3, 64, 64)).astype(np.float32))
+        plain = backbone_forward(x, tiny(), Mode(), skip_blocks=True)
+        spans, tracer = benchmark_tracer()
+        with tracer:
+            traced = backbone_forward(x, tiny(), Mode(), skip_blocks=True)
+        for a, b in zip(plain.levels, traced.levels):
+            assert a.data.tobytes() == b.data.tobytes()
+        metrics = spans.layer_metrics(tracer.spans, 1)
+        assert (metrics["ops.other.calls"], metrics["ops.conv2d_k3.calls"]) == (1, 4)
 
 
 class TestEcaKernelSize:
@@ -298,11 +341,42 @@ class TestStemAndDrfd:
         P = {n: p.value for n, p in m.params.items()}
         x = Tensor(rng.normal(size=(2, 32, 8, 8)).astype(dtype))
         got = drfd_forward(x, ParamView(m), "s2.drfd", m.config, Mode(stats=stats))
-        bn = norm_oracle(P, stats)
-        cpath = bn(ops.conv2d(x, P["s2.drfd.conv3"], stride=2), "s2.drfd.norm_conv.norm")
-        ppath = bn(ops.conv2d(ops.maxpool2d(x), P["s2.drfd.conv1"]), "s2.drfd.norm_pool.norm")
-        expected = ops.gelu(bn(ops.add(cpath, ppath), "s2.drfd.an.norm"))
-        assert_composition(got, expected, stats, dtype)
+        assert_composition(got, drfd_oracle(x, P, "s2.drfd", stats), stats, dtype)
+
+    # The plain running-mode stem runs conv3 and convd3 as one 5x5 stride-2 conv and
+    # recomputes output row 0 and column 0, where the composition reads padding.
+    @pytest.mark.parametrize("shape", [(2, 3, 8, 12), (1, 3, 4, 4), (1, 3, 64, 96)])
+    @pytest.mark.parametrize("stats, dtype", COMPOSITION_MODES)
+    def test_stem_matches_composition(self, rng, stats, dtype, shape):
+        m = with_stats(tiny(), rng, dtype)
+        P = {n: p.value for n, p in m.params.items()}
+        x = Tensor(rng.normal(size=shape).astype(dtype))
+        got = log_stem_forward(x, ParamView(m), m.config, Mode(stats=stats))
+        assert_composition(got, stem_oracle(x, P, stats), stats, dtype)
+
+    @pytest.mark.parametrize("taped", ["input", "params"])
+    def test_taped_running_stem_is_not_folded(self, rng, taped):
+        m = with_stats(tiny(), rng, np.float32)
+        P = {n: p.value for n, p in m.params.items()}
+        x = Tensor(rng.normal(size=(1, 3, 8, 12)).astype(np.float32))
+        tape = ag.Tape()
+        xin, pview = (tape.leaf(x), ParamView(m)) if taped == "input" else (x, ParamView(m, tape))
+        got = log_stem_forward(xin, pview, m.config, Mode(stats="running"))
+        assert got.value.data.tobytes() == stem_oracle(x, P, "running").data.tobytes()
+
+    def test_running_stem_builds_no_full_resolution_16_channel_map(self, rng):
+        # One 16-channel float32 map at 512^2 is 16 MiB; the unfolded pair
+        # peaked at 43.1 MiB, the folded one at about 24 MiB.
+        m = tiny()
+        x = Tensor(rng.uniform(0.0, 1.0, size=(1, 3, 512, 512)).astype(np.float32))
+        pview = ParamView(m)
+        tracemalloc.start()
+        try:
+            log_stem_forward(x, pview, m.config, Mode())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 << 20, peak / (1 << 20)
 
     def test_drfd_rejects_odd_input(self, rng):
         m = tiny()
