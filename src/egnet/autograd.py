@@ -193,9 +193,11 @@ def _conv2d_input_grad(g, wmat, xshape, grid, k, stride, padding):
     return _unpad_grad(gxp, p, padding, h, w)
 
 
-def conv2d(x, weight, *, stride: int = 1, padding: str = ops.ZERO):
+def conv2d(x, weight, *, stride: int = 1, padding: str = ops.ZERO, bias=None):
+    if isinstance(bias, Var):
+        raise ContractError("conv2d takes no taped bias: its VJP has no bias term")
     xv, wv = _value(x), _value(weight)
-    y = ops.conv2d(xv, wv, stride=stride, padding=padding)
+    y = ops.conv2d(xv, wv, stride=stride, padding=padding, bias=bias)
     xshape, wa = xv.shape, wv.data
     xk = _kept(x) if _needs(weight) else None
 
@@ -240,9 +242,11 @@ def _depthwise_input_grad(g, ka, xshape, stride, padding):
     return _unpad_grad(gxp, p, padding, h, w)
 
 
-def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ops.ZERO):
+def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ops.ZERO, bias=None):
+    if isinstance(bias, Var):
+        raise ContractError("depthwise_conv2d takes no taped bias: its VJP has no bias term")
     xv, kv = _value(x), _value(kernel)
-    y = ops.depthwise_conv2d(xv, kv, stride=stride, padding=padding)
+    y = ops.depthwise_conv2d(xv, kv, stride=stride, padding=padding, bias=bias)
     xshape, ka = xv.shape, kv.data
     k = ka.shape[-1]
     xk = _kept(x) if _needs(kernel) else None

@@ -175,8 +175,8 @@ class ParamView:
     Taped access registers each parameter exactly once as a (possibly
     frozen) named leaf; repeated lookups return the same Var.  Running
     statistics stay plain values: they are not differentiated.  ``ops`` is
-    the op set the block functions run: :mod:`egnet.autograd`, whose ops
-    take plain tensors and taped values alike.
+    the op set every forward op runs through, folded ones included:
+    :mod:`egnet.autograd`, whose ops take plain tensors and taped values alike.
     """
 
     ops = ag
@@ -359,10 +359,10 @@ def _folds(mode, *operands, rng=None) -> bool:
 
 
 def _conv_norm(op, x, pview, prefix, conv, norm, mode, rng=None, **kw):
-    """``op`` of ``x`` with parameter ``prefix + conv`` and keywords ``kw``, a dropout
-    mask from ``rng`` if given, then the norm ``prefix + norm``.  Where :func:`_folds`
-    holds, the norm is folded into the conv: the weight scales by ``a = scale * inv``
-    per output channel and ``shift - mean * a`` is its bias."""
+    """``pview.ops.<op>`` of ``x`` with parameter ``prefix + conv`` and keywords ``kw``, a
+    dropout mask from ``rng`` if given, then the norm ``prefix + norm``.  Where :func:`_folds`
+    holds, the norm is folded into the same op: the weight scales by ``a = scale * inv`` per
+    output channel and ``shift - mean * a`` is its plain ``bias``."""
     w = pview(prefix + conv)
     if not _folds(mode, x, w, rng=rng):
         t = getattr(pview.ops, op)(x, w, **kw)
@@ -370,21 +370,24 @@ def _conv_norm(op, x, pview, prefix, conv, norm, mode, rng=None, **kw):
         return _norm(t, pview, prefix + norm, mode)
     s, b, mean, var = (pview(prefix + norm + k).data for k in (".scale", ".shift", ".mean", ".var"))
     a = s * (1.0 / np.sqrt(var + ops.BN_EPS))  # inv as ops._batchnorm computes it
-    return getattr(ops, op)(x, w.data * a[:, None, None, None], bias=b - mean * a, **kw)
+    return getattr(pview.ops, op)(x, w.data * a[:, None, None, None], bias=b - mean * a, **kw)
 
 
-def _conv_pair(x, w1, w2) -> Tensor:
-    """``conv2d(conv2d(x, w1), w2, stride=2)`` for 3x3 ``w1``, ``w2`` as one 5x5 stride-2 conv,
-    its weight composed in float64.  On even sides only output row 0 and column 0 differ (``w2``
-    reads the intermediate's zero padding there); the chain on 4-row, 4-column slabs redoes them."""
-    taps = np.einsum("mkij,kcab->mcijab", w2, w1, dtype=np.float64)
+def _conv_pair(F, x, w1, w2, mode) -> Tensor:
+    """``conv2d(conv2d(x, w1), w2, stride=2)`` in the ops ``F``, for 3x3 ``w1``, ``w2``; where
+    :func:`_folds` holds, one 5x5 stride-2 conv, its weight composed in float64.  On even sides
+    only output row 0 and column 0 differ (``w2`` reads the intermediate's zero padding there);
+    the same chain redoes them on 4-row and 4-column slabs."""
+    chain = lambda s: F.conv2d(F.conv2d(s, w1), w2, stride=2)
+    if not _folds(mode, x, w1, w2):
+        return chain(x)
+    taps = np.einsum("mkij,kcab->mcijab", w2.data, w1.data, dtype=np.float64)
     w = np.zeros((*taps.shape[:2], 5, 5))
     for i, j in itertools.product(range(3), repeat=2):
         w[:, :, i : i + 3, j : j + 3] += taps[:, :, i, j]
-    y = np.array(ops.conv2d(x, w.astype(x.dtype), stride=2).data)  # writable
-    chain = lambda s: ops._conv2d_raw(ops._conv2d_raw(s, w1, 1, ops.ZERO), w2, 2, ops.ZERO)
-    y[:, :, 0] = chain(x.data[:, :, :4])[:, :, 0]
-    y[:, :, :, 0] = chain(x.data[:, :, :, :4])[:, :, :, 0]
+    y = np.array(F.conv2d(x, w.astype(x.dtype), stride=2).data)  # writable
+    y[:, :, 0] = chain(x.data[:, :, :4]).data[:, :, 0]
+    y[:, :, :, 0] = chain(x.data[:, :, :, :4]).data[:, :, :, 0]
     return Tensor._wrap(y)
 
 
@@ -432,11 +435,7 @@ def log_stem_forward(x, pview, cfg, mode):
     t = F.depthwise_conv2d(t, pview("fixed.log7"), padding=ops.REPLICATE)
     t = F.gelu(_norm(t, pview, "stem.an_log.norm", mode))
     t = _norm(F.add(x, t), pview, "stem.res.norm", mode)  # f_log; rebinding t frees the GELU map
-    w1, w2 = pview("stem.conv3"), pview("stem.convd3")
-    if _folds(mode, t, w1, w2):  # no norm or nonlinearity sits between the two convs
-        f1 = _conv_pair(t, w1.data, w2.data)
-    else:
-        f1 = F.conv2d(F.conv2d(t, w1), w2, stride=2)
+    f1 = _conv_pair(F, t, pview("stem.conv3"), pview("stem.convd3"), mode)
     t = F.depthwise_conv2d(f1, pview("fixed.gauss9_s05"), padding=ops.REPLICATE)
     t = _norm(F.add(t, f1), pview, "stem.mid.norm", mode)
     t = F.depthwise_conv2d(t, pview("fixed.gauss5_s05"), padding=ops.REPLICATE)

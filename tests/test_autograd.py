@@ -345,6 +345,48 @@ class TestNormRemat:
             assert got[name].tobytes() == ref[name].tobytes(), name
 
 
+BIASED_OPS = pytest.mark.parametrize(
+    "name, wshape, cout",
+    [("conv2d", (4, 3, 3, 3), 4), ("depthwise_conv2d", (3, 1, 3, 3), 3),
+     ("depthwise_conv2d", (5, 5), 3)],
+    ids=["conv2d", "depthwise-per-channel", "depthwise-shared"],
+)
+
+
+class TestPlainBias:
+    """A plain ``bias`` is a constant added per output channel: ``ops`` computes
+    it, and the VJPs of the taped operands are those of the unbiased op."""
+
+    @BIASED_OPS
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [ops.ZERO, ops.REPLICATE])
+    def test_matches_ops_bitwise(self, rng, name, wshape, cout, stride, padding):
+        x = Tensor(rng.normal(size=(2, 3, 7, 9)).astype(np.float32))
+        w = Tensor(rng.normal(size=wshape).astype(np.float32))
+        b = rng.normal(size=cout).astype(np.float32)
+        kw = dict(stride=stride, padding=padding, bias=b)
+        got = getattr(ag, name)(x, w, **kw)
+        assert type(got) is Tensor
+        assert got.data.tobytes() == getattr(ops, name)(x, w, **kw).data.tobytes()
+
+    @BIASED_OPS
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_taped_operands_pass_gradcheck(self, rng, name, wshape, cout, stride):
+        b = rng.normal(size=cout)
+        check_op_grads(
+            lambda v: getattr(ag, name)(v["x"], v["w"], stride=stride, bias=b),
+            dict(x=rng.normal(size=(2, 3, 7, 9)), w=rng.normal(size=wshape)),
+        )
+
+    @BIASED_OPS
+    def test_taped_bias_is_refused(self, rng, name, wshape, cout):
+        tape = Tape()
+        x = tape.leaf(Tensor(rng.normal(size=(1, 3, 5, 5))), name="x")
+        b = tape.leaf(Tensor(np.zeros(cout)), name="b")
+        with pytest.raises(ContractError, match=f"^{name} takes no taped bias"):
+            getattr(ag, name)(x, Tensor(rng.normal(size=wshape)), bias=b)
+
+
 class TestPerOpGradients:
     @pytest.mark.parametrize("k", [1, 3, 7])
     @pytest.mark.parametrize("stride", [1, 2])

@@ -212,7 +212,8 @@ class TestContractErrors:
     def test_running_forward_under_the_benchmark_tracer(self, rng):
         # The tracer reads the shapes of every public op's operands, so the folds
         # must hand ops a Tensor input.  The stem's 5x5 conv is an ``other`` op;
-        # the spine's other 3x3 convs are the four DRFD stride-2 convs.
+        # the spine's 3x3 convs are the four DRFD stride-2 convs and the stem
+        # pair's chain, two convs each, on its row-0 and column-0 slabs.
         x = Tensor(rng.uniform(0.0, 1.0, size=(1, 3, 64, 64)).astype(np.float32))
         plain = backbone_forward(x, tiny(), Mode(), skip_blocks=True)
         spans, tracer = benchmark_tracer()
@@ -221,7 +222,7 @@ class TestContractErrors:
         for a, b in zip(plain.levels, traced.levels):
             assert a.data.tobytes() == b.data.tobytes()
         metrics = spans.layer_metrics(tracer.spans, 1)
-        assert (metrics["ops.other.calls"], metrics["ops.conv2d_k3.calls"]) == (1, 4)
+        assert (metrics["ops.other.calls"], metrics["ops.conv2d_k3.calls"]) == (1, 8)
 
 
 class TestEcaKernelSize:
@@ -628,6 +629,36 @@ class TestBackboneForward:
             pyr = backbone_forward(x, m, Mode(stats="batch"))
             for lvl in pyr.levels:
                 assert np.isfinite(lvl.data).all(), f"seed {seed}"
+
+    def test_every_conv_goes_through_the_view_op_set(self, monkeypatch, rng):
+        # The folded convs and the stem pair's slab recompute included: an
+        # observer of ParamView.ops sees every conv the library runs.
+        calls = {}
+
+        def counted(key, fn):
+            def call(*args, **kw):
+                calls[key] = calls.get(key, 0) + 1
+                return fn(*args, **kw)
+            return call
+
+        class ViewOps:
+            def __getattr__(self, name):
+                return getattr(ag, name)
+
+        view_ops = ViewOps()
+        for op in ("conv2d", "depthwise_conv2d"):
+            setattr(view_ops, op, counted(("view", op), getattr(ag, op)))
+            monkeypatch.setattr(ops, op, counted(("ops", op), getattr(ops, op)))
+        monkeypatch.setattr(ParamView, "ops", view_ops)
+        m = with_stats(tiny(), rng, np.float32)
+        m = m.with_values({  # a residual gain keeps the EGA gates from overflowing
+            n: np.full(p.value.shape, 0.1, np.float32)
+            for n, p in m.params.items() if n.endswith(".out.norm.scale")
+        })
+        x = Tensor(rng.uniform(0.0, 1.0, size=(1, 3, 64, 64)).astype(np.float32))
+        assert all(np.isfinite(lvl.data).all() for lvl in backbone_forward(x, m, Mode()).levels)
+        for op in ("conv2d", "depthwise_conv2d"):
+            assert calls[("ops", op)] == calls[("view", op)] > 0, op
 
     def test_rejects_indivisible_and_bad_channels(self, rng):
         m = tiny()
