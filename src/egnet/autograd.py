@@ -176,23 +176,6 @@ def _unpad_grad(gxp, p, padding, h, w):
     return np.ascontiguousarray(rows[:, :, :, p : p + w])
 
 
-def _conv2d_input_grad(g, wmat, xshape, grid, k, stride, padding):
-    # wmat^T g, one row tile at a time, each tap's slab added onto the
-    # window of the padded map it was gathered from.
-    n, cout, oh, ow = g.shape
-    g3 = g.reshape(n, cout, oh * ow)
-    if k == 1 and stride == 1:
-        return np.matmul(wmat.T, g3).reshape(xshape)
-    h, w = xshape[2:]
-    p = (k - 1) // 2
-    gxp = np.zeros((*xshape[:2], h + 2 * p, w + 2 * p), dtype=g.dtype)
-    for lo, hi, windows, tile in ops._row_tiles(xshape, grid, stride, g.itemsize):
-        cols = np.matmul(wmat.T, g3[:, :, lo * ow : hi * ow]).reshape(tile)
-        for t, window in enumerate(windows):
-            gxp[window] += cols[:, :, t]
-    return _unpad_grad(gxp, p, padding, h, w)
-
-
 def conv2d(x, weight, *, stride: int = 1, padding: str = ops.ZERO, bias=None):
     if isinstance(bias, Var):
         raise ContractError("conv2d takes no taped bias: its VJP has no bias term")
@@ -200,30 +183,71 @@ def conv2d(x, weight, *, stride: int = 1, padding: str = ops.ZERO, bias=None):
     y = ops.conv2d(xv, wv, stride=stride, padding=padding, bias=bias)
     xshape, wa = xv.shape, wv.data
     xk = _kept(x) if _needs(weight) else None
+    vjp = lambda g, needed: _conv2d_vjp(g, xk, wa, xshape, stride, padding, needed)
+    return _record(y, (x, weight), vjp)
+
+
+def _conv2d_vjp(g, xk, wa, xshape, stride, padding, needed):
+    # (gx, gw) for conv2d's output gradient g, each None unless needed; gw reads xk().
+    n, cout, oh, ow = g.shape
+    k = wa.shape[2]
+    _, _, rows, cols, _ = grid = ops._tap_grid(xshape, k, stride, padding)
+    wlive = wa[:, :, rows, cols]
+    wmat = wlive.reshape(cout, -1)
+    g3 = g.reshape(n, cout, oh * ow)
+    gx = gw = None
+    if needed[1]:
+        glive = np.zeros_like(wmat)
+        for lo, hi, patches in ops._patch_tiles(xk(), grid, k, stride, padding):
+            cols_t = patches.reshape(n, wmat.shape[1], (hi - lo) * ow).transpose(0, 2, 1)
+            glive += np.matmul(g3[:, :, lo * ow : hi * ow], cols_t).sum(axis=0)
+        gw = np.zeros_like(wa)
+        gw[:, :, rows, cols] = glive.reshape(wlive.shape)
+    if needed[0] and padding == ops.ZERO and ops._lowers_rows(xshape, wa.shape, stride):
+        # The adjoint at stride 1: g correlated with the weight flipped and transposed.
+        gx = ops._conv2d_rows(g, wa.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], ops.ZERO)
+    elif needed[0] and k == 1 and stride == 1:
+        gx = np.matmul(wmat.T, g3).reshape(xshape)
+    elif needed[0]:
+        # wmat^T g, one row tile at a time, each tap's slab added onto the
+        # window of the padded map it was gathered from.
+        p = (k - 1) // 2
+        gxp = np.zeros((*xshape[:2], xshape[2] + 2 * p, xshape[3] + 2 * p), dtype=g.dtype)
+        for lo, hi, windows, tile in ops._row_tiles(xshape, grid, stride, g.itemsize):
+            slabs = np.matmul(wmat.T, g3[:, :, lo * ow : hi * ow]).reshape(tile)
+            for t, window in enumerate(windows):
+                gxp[window] += slabs[:, :, t]
+        gx = _unpad_grad(gxp, p, padding, *xshape[2:])
+    return gx, gw
+
+
+def conv_pair(x, w1, w2):
+    y = ops.conv_pair(*map(_value, (x, w1, w2)))
+    xk, w1a, w2a = _kept(x), _value(w1).data, _value(w2).data
 
     def vjp(g, needed):
-        n, cout, oh, ow = g.shape
-        k = wa.shape[2]
-        _, _, rows, cols, _ = grid = ops._tap_grid(xshape, k, stride, padding)
-        wlive = wa[:, :, rows, cols]
-        wmat = wlive.reshape(cout, -1)
-        g3 = g.reshape(n, cout, oh * ow)
-        gx = gw = None
-        if needed[1]:
-            glive = np.zeros_like(wmat)
-            for lo, hi, patches in ops._patch_tiles(xk(), grid, k, stride, padding):
-                cols_t = patches.reshape(n, wmat.shape[1], (hi - lo) * ow).transpose(0, 2, 1)
-                glive += np.matmul(g3[:, :, lo * ow : hi * ow], cols_t).sum(axis=0)
-            gw = np.zeros_like(wa)
-            gw[:, :, rows, cols] = glive.reshape(wlive.shape)
-        if needed[0] and padding == ops.ZERO and ops._lowers_rows(xshape, wa.shape, stride):
-            # The adjoint at stride 1: g correlated with the weight flipped and transposed.
-            gx = ops._conv2d_rows(g, wa.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], ops.ZERO)
-        elif needed[0]:
-            gx = _conv2d_input_grad(g, wmat, xshape, grid, k, stride, padding)
-        return gx, gw
+        # The 5x5 conv's VJPs off row 0 and column 0, its weight gradient mapped back to w1
+        # and w2 by the bilinear rule in float64; then the chain's VJPs on the two slabs.
+        xa, inner, wa = xk(), g.copy(), ops._pair_weight(w1a, w2a).astype(w1a.dtype)
+        inner[:, :, 0] = inner[:, :, :, 0] = 0
+        gx, gw = _conv2d_vjp(inner, lambda: xa, wa, xa.shape, 2, ops.ZERO, (needed[0], True))
+        taps = sliding_window_view(gw, (3, 3), axis=(2, 3))  # [m, c, i, j, b, d]
+        gw1 = np.einsum("mcijbd,mkij->kcbd", taps, w2a, dtype=np.float64).astype(w1a.dtype)
+        gw2 = np.einsum("mcijbd,kcbd->mkij", taps, w1a, dtype=np.float64).astype(w2a.dtype)
+        # Row 0, corner included, from the row slab; column 0 below it from the column slab.
+        rows, cols = np.zeros_like(g[:, :, :2]), np.zeros_like(g[:, :, :, :2])
+        rows[:, :, 0], cols[:, :, 1:, 0] = g[:, :, 0], g[:, :, 1:, 0]
+        for ge, edge in ((rows, np.s_[:, :, :4]), (cols, np.s_[:, :, :, :4])):
+            s = xa[edge]
+            z = ops._conv2d_raw(s, w1a, 1, ops.ZERO)
+            gz, g2 = _conv2d_vjp(ge, lambda: z, w2a, z.shape, 2, ops.ZERO, (True, True))
+            gs, g1 = _conv2d_vjp(gz, lambda: s, w1a, s.shape, 1, ops.ZERO, (needed[0], True))
+            gw1, gw2 = gw1 + g1, gw2 + g2
+            if needed[0]:
+                gx[edge] += gs
+        return gx, gw1, gw2
 
-    return _record(y, (x, weight), vjp)
+    return _record(y, (x, w1, w2), vjp)
 
 
 def _depthwise_input_grad(g, ka, xshape, stride, padding):

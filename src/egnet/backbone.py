@@ -352,8 +352,8 @@ def _norm(x, pview, prefix, mode):
 
 
 def _folds(mode, *operands, rng=None) -> bool:
-    # Whether linear layers may be folded together (RepVGG, arXiv 2101.03697): on a
-    # running-statistics forward with no dropout generator and no taped operand.
+    # Whether a norm may be folded into the conv before it (RepVGG, arXiv 2101.03697): on
+    # a running-statistics forward with no dropout generator and no taped operand.
     taped = any(isinstance(a, ag.Var) for a in operands)
     return mode.stats == "running" and rng is None and not taped
 
@@ -371,24 +371,6 @@ def _conv_norm(op, x, pview, prefix, conv, norm, mode, rng=None, **kw):
     s, b, mean, var = (pview(prefix + norm + k).data for k in (".scale", ".shift", ".mean", ".var"))
     a = s * (1.0 / np.sqrt(var + ops.BN_EPS))  # inv as ops._batchnorm computes it
     return getattr(pview.ops, op)(x, w.data * a[:, None, None, None], bias=b - mean * a, **kw)
-
-
-def _conv_pair(F, x, w1, w2, mode) -> Tensor:
-    """``conv2d(conv2d(x, w1), w2, stride=2)`` in the ops ``F``, for 3x3 ``w1``, ``w2``; where
-    :func:`_folds` holds, one 5x5 stride-2 conv, its weight composed in float64.  On even sides
-    only output row 0 and column 0 differ (``w2`` reads the intermediate's zero padding there);
-    the same chain redoes them on 4-row and 4-column slabs."""
-    chain = lambda s: F.conv2d(F.conv2d(s, w1), w2, stride=2)
-    if not _folds(mode, x, w1, w2):
-        return chain(x)
-    taps = np.einsum("mkij,kcab->mcijab", w2.data, w1.data, dtype=np.float64)
-    w = np.zeros((*taps.shape[:2], 5, 5))
-    for i, j in itertools.product(range(3), repeat=2):
-        w[:, :, i : i + 3, j : j + 3] += taps[:, :, i, j]
-    y = np.array(F.conv2d(x, w.astype(x.dtype), stride=2).data)  # writable
-    y[:, :, 0] = chain(x.data[:, :, :4]).data[:, :, 0]
-    y[:, :, :, 0] = chain(x.data[:, :, :, :4]).data[:, :, :, 0]
-    return Tensor._wrap(y)
 
 
 def _edge_attention(F, x, sx, sy):
@@ -435,7 +417,7 @@ def log_stem_forward(x, pview, cfg, mode):
     t = F.depthwise_conv2d(t, pview("fixed.log7"), padding=ops.REPLICATE)
     t = F.gelu(_norm(t, pview, "stem.an_log.norm", mode))
     t = _norm(F.add(x, t), pview, "stem.res.norm", mode)  # f_log; rebinding t frees the GELU map
-    f1 = _conv_pair(F, t, pview("stem.conv3"), pview("stem.convd3"), mode)
+    f1 = F.conv_pair(t, pview("stem.conv3"), pview("stem.convd3"))
     t = F.depthwise_conv2d(f1, pview("fixed.gauss9_s05"), padding=ops.REPLICATE)
     t = _norm(F.add(t, f1), pview, "stem.mid.norm", mode)
     t = F.depthwise_conv2d(t, pview("fixed.gauss5_s05"), padding=ops.REPLICATE)
@@ -636,6 +618,9 @@ class _StackedOps:
     @staticmethod
     def conv2d(x, weight, *, stride=1):
         return _each(weight, lambda w: ops._conv2d_raw(x, w, stride, ops.ZERO))
+
+    def conv_pair(self, x, w1, w2):  # unfolded: the verifier does not share ops.conv_pair
+        return self.conv2d(self.conv2d(x, w1), w2, stride=2)
 
     def depthwise_conv2d(self, x, kernel, *, padding=ops.ZERO):
         if not (isinstance(kernel, np.ndarray) and kernel.ndim == 2):

@@ -191,6 +191,36 @@ def conv2d(x, weight, *, stride: int = 1, padding: str = ZERO, bias=None) -> Ten
     return _biased(_conv2d_raw, (xa, wa, stride, padding), bias, wa.shape[0], "conv2d")
 
 
+def conv_pair(x, w1, w2) -> Tensor:
+    """``conv2d(conv2d(x, w1), w2, stride=2)`` for 3x3 weights and even sides, as one 5x5 stride-2
+    conv (RepVGG, arXiv 2101.03697) with its weight composed in float64, plus the chain on 4-row and
+    4-column slabs for output row 0 and column 0, where ``w2`` reads the intermediate's padding."""
+    xa, w1a, w2a = _data(x), _data(w1), _data(w2)
+    if not (w1a.ndim == w2a.ndim == 4 and w1a.shape[2:] == w2a.shape[2:] == (3, 3)):
+        raise DimensionError(f"conv_pair weights must be 3x3, got {w1a.shape}, {w2a.shape}", axis="k")
+    if xa.ndim != 4 or xa.shape[1] != w1a.shape[1] or w2a.shape[1] != len(w1a):
+        raise DimensionError(f"conv_pair cannot chain {xa.shape}, {w1a.shape}, {w2a.shape}",
+                             axis="c" if xa.ndim == 4 else "n")
+    for axis, side in zip("hw", xa.shape[2:]):
+        if side % 2 or not side:
+            raise DimensionError(f"conv_pair needs even sides, got {xa.shape}", axis=axis)
+    _check_same_dtype(xa, w1a, w2a)
+    y = _conv2d_raw(xa, _pair_weight(w1a, w2a).astype(xa.dtype), 2, ZERO)
+    chain = lambda s: _conv2d_raw(_conv2d_raw(s, w1a, 1, ZERO), w2a, 2, ZERO)
+    y[:, :, 0] = chain(xa[:, :, :4])[:, :, 0]
+    y[:, :, :, 0] = chain(xa[:, :, :, :4])[:, :, :, 0]
+    return Tensor._wrap(y)
+
+
+def _pair_weight(w1a, w2a) -> np.ndarray:
+    # W[:, :, i + b, j + d] += w2[:, :, i, j] @ w1[:, :, b, d], in float64.
+    taps = np.einsum("mkij,kcab->mcijab", w2a, w1a, dtype=np.float64)
+    w = np.zeros((*taps.shape[:2], 5, 5))
+    for i, j in np.ndindex(3, 3):
+        w[:, :, i : i + 3, j : j + 3] += taps[:, :, i, j]
+    return w
+
+
 def _biased(raw, args, bias, c: int, op: str) -> Tensor:
     # raw(*args) plus the checked (c,) bias per channel, in place on its fresh output.
     if bias is None:

@@ -8,6 +8,17 @@ from egnet import ops
 from egnet.cli import MESSAGE_CHARS
 
 
+# A fold (RepVGG, arXiv 2101.03697) reorders a composition's sums, so its values and
+# gradients hold to FOLD_TOL[dtype] * max|unfolded| rather than bitwise.
+FOLD_TOL = {np.float32: 2e-6, np.float64: 1e-12}
+
+
+def assert_folded(got, expected, dtype):
+    assert got.dtype == expected.dtype == dtype
+    err = np.abs(got - expected).max()
+    assert err <= FOLD_TOL[dtype] * np.abs(expected).max(), err
+
+
 def _rt(shape, dtype=b'"f32"', payload=b"", order=b'"nchw"'):
     return b'{"shape":' + shape + b',"dtype":' + dtype + b',"order":' + order + b'}\n' + payload
 

@@ -26,7 +26,7 @@ from egnet.backbone import (
 from egnet.errors import ConfigError, ContractError, VerificationError
 from egnet.tensor import Tensor
 
-from conftest import gelu_probes
+from conftest import assert_folded, gelu_probes
 from oracles import conv1d_naive, depthwise_naive
 
 
@@ -169,6 +169,7 @@ def _normal(*shape):
 # arguments, made fresh per call so that dropout draws from a new generator.
 RECORDED_OPS = {
     "conv2d": lambda: ((_normal(1, 2, 5, 5), _normal(3, 2, 3, 3)), {}),
+    "conv_pair": lambda: ((_normal(1, 2, 4, 4), _normal(3, 2, 3, 3), _normal(2, 3, 3, 3)), {}),
     "depthwise_conv2d": lambda: ((_normal(1, 2, 5, 5), _normal(2, 1, 3, 3)), {}),
     "conv1d_channels": lambda: ((_normal(1, 4), _normal(3)), {}),
     "maxpool2d": lambda: ((_normal(1, 2, 4, 4),), {}),
@@ -426,6 +427,14 @@ class TestPerOpGradients:
             dict(x=rng.normal(size=(1, 2, 6, 6)), w=rng.normal(size=(3, 2, 5, 5))),
         )
 
+    @pytest.mark.parametrize("hw", [(8, 12), (4, 4), (2, 6)])
+    def test_conv_pair(self, rng, hw):
+        check_op_grads(
+            lambda v: ag.conv_pair(v["x"], v["w1"], v["w2"]),
+            dict(x=rng.normal(size=(2, 3, *hw)), w1=rng.normal(size=(4, 3, 3, 3)),
+                 w2=rng.normal(size=(5, 4, 3, 3))),
+        )
+
     @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize("stride", [1, 2])
     @MAPS
@@ -569,6 +578,32 @@ def assert_adjoint(op, oracle, x, rng):
     atg = ag.backward(ag.sum_all(ag.mul(op(xv), Tensor(g))))["x"]
     bound = 1e-12 * np.linalg.norm(ax) * np.linalg.norm(g)
     assert abs(np.vdot(ax, g) - np.vdot(x, atg)) <= bound
+
+
+class TestConvPair:
+    """The folded pair's gradients against the taped chain it folds."""
+
+    @pytest.mark.parametrize("shape", [(2, 3, 8, 12), (1, 3, 4, 4), (1, 3, 64, 96)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_match_the_taped_chain(self, rng, shape, dtype):
+        arrays = dict(x=rng.normal(size=shape), w1=rng.normal(size=(16, 3, 3, 3)),
+                      w2=rng.normal(size=(16, 16, 3, 3)))
+        proj = None
+
+        def grads(op):
+            nonlocal proj
+            tape = Tape()
+            v = {k: tape.leaf(Tensor(a.astype(dtype)), name=k) for k, a in arrays.items()}
+            y = op(v["x"], v["w1"], v["w2"])
+            if proj is None:
+                proj = Tensor(rng.normal(size=y.value.shape).astype(dtype))
+            return y.value.data, ag.backward(ag.sum_all(ag.mul(y, proj)))
+
+        y, folded = grads(ag.conv_pair)
+        y_chain, chain = grads(lambda x, w1, w2: ag.conv2d(ag.conv2d(x, w1), w2, stride=2))
+        assert_folded(y, y_chain, dtype)
+        for name in arrays:
+            assert_folded(folded[name], chain[name], dtype)
 
 
 class TestAdjoint:

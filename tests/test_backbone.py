@@ -34,6 +34,8 @@ from egnet.errors import ConfigError, ContractError, DimensionError
 from egnet.kernels import gaussian_kernel, log_kernel, scharr_kernels
 from egnet.tensor import Tensor
 
+from conftest import assert_folded
+
 
 def benchmark_tracer():
     """The benchmark's ``perfbench/spans.py`` and a tracer of it, not yet installed,
@@ -81,15 +83,15 @@ def with_stats(model, rng, dtype):
 
 
 # (stats, dtype) of the composition tests.  Batch statistics run each norm
-# as written, so the block functions equal the ops composition bitwise; the
-# plain running-statistics forward folds the norms that follow a conv into
-# it, which holds to FOLD_TOL[dtype] * max|out|.
+# as written, so the block functions but the stem equal the ops composition
+# bitwise; the plain running-statistics forward folds the norms that follow a
+# conv into it, and every forward folds the stem pair, which hold to
+# FOLD_TOL[dtype] * max|out|.
 COMPOSITION_MODES = [
     pytest.param("batch", np.float32, id="batch"),
     pytest.param("running", np.float32, id="running-float32"),
     pytest.param("running", np.float64, id="running-float64"),
 ]
-FOLD_TOL = {np.float32: 2e-6, np.float64: 1e-12}
 
 
 def assert_composition(got, expected, stats, dtype):
@@ -97,8 +99,7 @@ def assert_composition(got, expected, stats, dtype):
     if stats == "batch":
         np.testing.assert_array_equal(got.data, expected.data)
     else:
-        err = np.abs(got.data - expected.data).max()
-        assert err <= FOLD_TOL[dtype] * np.abs(expected.data).max(), err
+        assert_folded(got.data, expected.data, dtype)
 
 
 def norm_oracle(P, stats):
@@ -211,9 +212,8 @@ class TestContractErrors:
 
     def test_running_forward_under_the_benchmark_tracer(self, rng):
         # The tracer reads the shapes of every public op's operands, so the folds
-        # must hand ops a Tensor input.  The stem's 5x5 conv is an ``other`` op;
-        # the spine's 3x3 convs are the four DRFD stride-2 convs and the stem
-        # pair's chain, two convs each, on its row-0 and column-0 slabs.
+        # must hand ops a Tensor input.  The stem pair, ops.conv_pair, is an
+        # ``other`` op; the spine's 3x3 convs are the four DRFD stride-2 convs.
         x = Tensor(rng.uniform(0.0, 1.0, size=(1, 3, 64, 64)).astype(np.float32))
         plain = backbone_forward(x, tiny(), Mode(), skip_blocks=True)
         spans, tracer = benchmark_tracer()
@@ -222,7 +222,7 @@ class TestContractErrors:
         for a, b in zip(plain.levels, traced.levels):
             assert a.data.tobytes() == b.data.tobytes()
         metrics = spans.layer_metrics(tracer.spans, 1)
-        assert (metrics["ops.other.calls"], metrics["ops.conv2d_k3.calls"]) == (1, 8)
+        assert (metrics["ops.other.calls"], metrics["ops.conv2d_k3.calls"]) == (1, 4)
 
 
 class TestEcaKernelSize:
@@ -344,8 +344,8 @@ class TestStemAndDrfd:
         got = drfd_forward(x, ParamView(m), "s2.drfd", m.config, Mode(stats=stats))
         assert_composition(got, drfd_oracle(x, P, "s2.drfd", stats), stats, dtype)
 
-    # The plain running-mode stem runs conv3 and convd3 as one 5x5 stride-2 conv and
-    # recomputes output row 0 and column 0, where the composition reads padding.
+    # Every stem forward runs conv3 and convd3 as one 5x5 stride-2 conv (ops.conv_pair)
+    # and recomputes output row 0 and column 0, where the composition reads padding.
     @pytest.mark.parametrize("shape", [(2, 3, 8, 12), (1, 3, 4, 4), (1, 3, 64, 96)])
     @pytest.mark.parametrize("stats, dtype", COMPOSITION_MODES)
     def test_stem_matches_composition(self, rng, stats, dtype, shape):
@@ -353,17 +353,44 @@ class TestStemAndDrfd:
         P = {n: p.value for n, p in m.params.items()}
         x = Tensor(rng.normal(size=shape).astype(dtype))
         got = log_stem_forward(x, ParamView(m), m.config, Mode(stats=stats))
-        assert_composition(got, stem_oracle(x, P, stats), stats, dtype)
+        assert_folded(got.data, stem_oracle(x, P, stats).data, dtype)
 
     @pytest.mark.parametrize("taped", ["input", "params"])
-    def test_taped_running_stem_is_not_folded(self, rng, taped):
-        m = with_stats(tiny(), rng, np.float32)
+    @pytest.mark.parametrize("stats, dtype", COMPOSITION_MODES)
+    def test_taped_stem_is_folded(self, rng, stats, dtype, taped):
+        m = with_stats(tiny(), rng, dtype)
         P = {n: p.value for n, p in m.params.items()}
-        x = Tensor(rng.normal(size=(1, 3, 8, 12)).astype(np.float32))
+        x = Tensor(rng.normal(size=(1, 3, 8, 12)).astype(dtype))
         tape = ag.Tape()
         xin, pview = (tape.leaf(x), ParamView(m)) if taped == "input" else (x, ParamView(m, tape))
-        got = log_stem_forward(xin, pview, m.config, Mode(stats="running"))
-        assert got.value.data.tobytes() == stem_oracle(x, P, "running").data.tobytes()
+        got = log_stem_forward(xin, pview, m.config, Mode(stats=stats))
+        assert_folded(got.value.data, stem_oracle(x, P, stats).data, dtype)
+        assert (1, 16, 8, 12) not in [node.shape for node in tape.nodes]
+
+    @pytest.mark.parametrize("stats, dtype", COMPOSITION_MODES)
+    def test_taped_stem_gradients_match_the_chain(self, rng, stats, dtype):
+        class ChainOps:  # the autograd ops, the stem pair unfolded
+            def __getattr__(self, name):
+                return getattr(ag, name)
+
+            @staticmethod
+            def conv_pair(x, w1, w2):
+                return ag.conv2d(ag.conv2d(x, w1), w2, stride=2)
+
+        m = with_stats(tiny(), rng, dtype)
+        x = Tensor(rng.normal(size=(2, 3, 8, 12)).astype(dtype))
+        proj = Tensor(rng.normal(size=(2, 32, 2, 3)).astype(dtype))
+
+        def grads(view_ops):
+            tape = ag.Tape()
+            pview = ParamView(m, tape)
+            pview.ops = view_ops
+            out = log_stem_forward(tape.leaf(x, name="input"), pview, m.config, Mode(stats=stats))
+            return ag.backward(ag.sum_all(ag.mul(out, proj)))
+
+        folded, chain = grads(ag), grads(ChainOps())
+        for name in ("input", "stem.conv3", "stem.convd3"):
+            assert_folded(folded[name], chain[name], dtype)
 
     def test_running_stem_builds_no_full_resolution_16_channel_map(self, rng):
         # One 16-channel float32 map at 512^2 is 16 MiB; the unfolded pair
@@ -631,8 +658,8 @@ class TestBackboneForward:
                 assert np.isfinite(lvl.data).all(), f"seed {seed}"
 
     def test_every_conv_goes_through_the_view_op_set(self, monkeypatch, rng):
-        # The folded convs and the stem pair's slab recompute included: an
-        # observer of ParamView.ops sees every conv the library runs.
+        # The folded convs and the stem pair included: an observer of
+        # ParamView.ops sees every conv the library runs.
         calls = {}
 
         def counted(key, fn):
@@ -646,7 +673,8 @@ class TestBackboneForward:
                 return getattr(ag, name)
 
         view_ops = ViewOps()
-        for op in ("conv2d", "depthwise_conv2d"):
+        convs = ("conv2d", "depthwise_conv2d", "conv_pair")
+        for op in convs:
             setattr(view_ops, op, counted(("view", op), getattr(ag, op)))
             monkeypatch.setattr(ops, op, counted(("ops", op), getattr(ops, op)))
         monkeypatch.setattr(ParamView, "ops", view_ops)
@@ -657,7 +685,7 @@ class TestBackboneForward:
         })
         x = Tensor(rng.uniform(0.0, 1.0, size=(1, 3, 64, 64)).astype(np.float32))
         assert all(np.isfinite(lvl.data).all() for lvl in backbone_forward(x, m, Mode()).levels)
-        for op in ("conv2d", "depthwise_conv2d"):
+        for op in convs:
             assert calls[("ops", op)] == calls[("view", op)] > 0, op
 
     def test_rejects_indivisible_and_bad_channels(self, rng):

@@ -139,6 +139,14 @@ class TestDepthwise:
             ops.depthwise_conv2d(x, k)
 
 
+class TestConvPair:
+    @pytest.mark.parametrize("shape", [(2, 3, 8, 12), (1, 3, 4, 4), (1, 3, 2, 6)])
+    def test_matches_the_loop_oracle_chain(self, rng, shape):
+        x, w1, w2 = (rng.normal(size=s) for s in (shape, (4, 3, 3, 3), (5, 4, 3, 3)))
+        ref = conv2d_naive(conv2d_naive(x, w1), w2, stride=2)
+        np.testing.assert_allclose(ops.conv_pair(x, w1, w2).data, ref, rtol=1e-12, atol=1e-12)
+
+
 class TestConv2dRowTiles:
     """conv2d over row tiles of its gather (``ops.TILE_BYTES``)."""
 
@@ -620,6 +628,16 @@ BAD_INPUTS = [
     ("conv2d-weight-rank", lambda: ops.conv2d(_z(1, 1, 4, 4), _z(1, 3, 3)), DimensionError, "k"),
     ("conv2d-weight-not-square", lambda: ops.conv2d(_z(1, 1, 4, 4), _z(1, 1, 3, 1)),
      DimensionError, "k"),
+    ("conv-pair-input-rank", lambda: ops.conv_pair(_z(3, 4, 4), _z(4, 3, 3, 3), _z(4, 4, 3, 3)),
+     DimensionError, "n"),
+    ("conv-pair-weight-not-3x3", lambda: ops.conv_pair(_z(1, 3, 4, 4), _z(4, 3, 5, 5), _z(4, 4, 3, 3)),
+     DimensionError, "k"),
+    ("conv-pair-channel-chain", lambda: ops.conv_pair(_z(1, 3, 4, 4), _z(4, 3, 3, 3), _z(4, 5, 3, 3)),
+     DimensionError, "c"),
+    ("conv-pair-odd-side", lambda: ops.conv_pair(_z(1, 3, 4, 5), _z(4, 3, 3, 3), _z(4, 4, 3, 3)),
+     DimensionError, "w"),
+    ("conv-pair-mixed-dtypes", lambda: ops.conv_pair(
+        _z(1, 3, 4, 4), np.zeros((4, 3, 3, 3)), _z(4, 4, 3, 3)), ContractError, None),
     ("depthwise-input-rank", lambda: ops.depthwise_conv2d(_z(1, 4, 4), _z(3, 3)),
      DimensionError, "n"),
     ("depthwise-kernel-shape", lambda: ops.depthwise_conv2d(_z(1, 2, 4, 4), _z(2, 2, 3, 3)),
