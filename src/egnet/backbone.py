@@ -351,20 +351,14 @@ def _norm(x, pview, prefix, mode):
     )
 
 
-def _folds(mode, *operands, rng=None) -> bool:
-    # Whether a norm may be folded into the conv before it (RepVGG, arXiv 2101.03697): on
-    # a running-statistics forward with no dropout generator and no taped operand.
-    taped = any(isinstance(a, ag.Var) for a in operands)
-    return mode.stats == "running" and rng is None and not taped
-
-
 def _conv_norm(op, x, pview, prefix, conv, norm, mode, rng=None, **kw):
     """``pview.ops.<op>`` of ``x`` with parameter ``prefix + conv`` and keywords ``kw``, a
-    dropout mask from ``rng`` if given, then the norm ``prefix + norm``.  Where :func:`_folds`
-    holds, the norm is folded into the same op: the weight scales by ``a = scale * inv`` per
-    output channel and ``shift - mean * a`` is its plain ``bias``."""
+    dropout mask from ``rng`` if given, then the norm ``prefix + norm``.  With running statistics,
+    no ``rng`` and neither ``x`` nor the weight a taped ``Var``, the norm folds into the op (RepVGG,
+    arXiv 2101.03697): the weight scales by ``a = scale * inv`` per output channel and
+    ``shift - mean * a`` is its plain ``bias``."""
     w = pview(prefix + conv)
-    if not _folds(mode, x, w, rng=rng):
+    if mode.stats != "running" or rng is not None or isinstance(x, ag.Var) or isinstance(w, ag.Var):
         t = getattr(pview.ops, op)(x, w, **kw)
         t = t if rng is None else pview.ops.dropout(t, BackboneConfig.dropout_rate, rng)
         return _norm(t, pview, prefix + norm, mode)
@@ -373,27 +367,19 @@ def _conv_norm(op, x, pview, prefix, conv, norm, mode, rng=None, **kw):
     return getattr(pview.ops, op)(x, w.data * a[:, None, None, None], bias=b - mean * a, **kw)
 
 
-def _edge_attention(F, x, sx, sy):
-    gx = F.depthwise_conv2d(x, sx, padding=ops.REPLICATE)
-    gy = F.depthwise_conv2d(x, sy, padding=ops.REPLICATE)
-    return F.sqrt_eps(F.add(F.mul(gx, gx), F.mul(gy, gy)))
-
-
-def _gaussian_attention(F, x, g5):
-    return F.depthwise_conv2d(x, g5, padding=ops.REPLICATE)
+def _fixed_view(x) -> "_ProbeView":
+    dt = ag._value(x).dtype  # the dtype the ops compute x in
+    return _ProbeView({n: k.astype(dt) for n, k in FIXED_KERNELS.items()}, ag)
 
 
 def edge_attention(x) -> Tensor:
     """Gradient-magnitude map from the Scharr pair, shape preserving."""
-    dt = ag._value(x).dtype  # the dtype the ops compute x in
-    sx, sy = (FIXED_KERNELS[n].astype(dt) for n in ("fixed.scharr_x", "fixed.scharr_y"))
-    return _edge_attention(ag, x, sx, sy)
+    return _stage_attention(x, 1, _fixed_view(x))
 
 
 def gaussian_attention(x) -> Tensor:
     """Fixed 5x5 sigma-1 Gaussian smoothing, one kernel shared per channel."""
-    g5 = FIXED_KERNELS["fixed.gauss5_s10"].astype(ag._value(x).dtype)
-    return _gaussian_attention(ag, x, g5)
+    return _stage_attention(x, 2, _fixed_view(x))
 
 
 def drfd_forward(x, pview, prefix, cfg, mode):
@@ -433,11 +419,15 @@ def conv_block_forward(x, pview, prefix, mode):
 
 
 def _stage_attention(x, stage, pview):
+    """The EGA attention map of ``stage`` (Scharr edges or a Gaussian), fixed kernels from ``pview``."""
     if not 1 <= stage <= 4:
         raise ConfigError(f"stage must be in 1..4, got {stage}")
-    if BackboneConfig.attention_kinds[stage - 1] == "edge":
-        return _edge_attention(pview.ops, x, pview("fixed.scharr_x"), pview("fixed.scharr_y"))
-    return _gaussian_attention(pview.ops, x, pview("fixed.gauss5_s10"))
+    F = pview.ops
+    if BackboneConfig.attention_kinds[stage - 1] == "gauss":
+        return F.depthwise_conv2d(x, pview("fixed.gauss5_s10"), padding=ops.REPLICATE)
+    gx, gy = (F.depthwise_conv2d(x, kern, padding=ops.REPLICATE)
+              for kern in (pview("fixed.scharr_x"), pview("fixed.scharr_y")))
+    return F.sqrt_eps(F.add(F.mul(gx, gx), F.mul(gy, gy)))
 
 
 def ega_forward(x, stage, pview, prefix, mode):
@@ -641,11 +631,12 @@ class _StackedOps:
 
 
 class _ProbeView(dict):
-    """The FD loss's parameter view: name -> plain array, and for the probed
-    name an iterator of its values.
+    """A parameter view over a dict: name -> plain array, and for the FD
+    loss's probed name an iterator of its values.
 
     Stands in for :class:`ParamView`: the block functions read parameters
-    through it and take their ops from its ``ops``.
+    through it and take their ops from its ``ops``, :class:`_StackedOps` in
+    the FD loss and :mod:`egnet.autograd` in the public attention maps.
     """
 
     __call__ = dict.__getitem__

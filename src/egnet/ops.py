@@ -57,9 +57,23 @@ def _check_same_dtype(*arrays: np.ndarray) -> np.dtype:
     return dt
 
 
-def _check_padding(padding: str) -> None:
+def _check_kxk(op: str, xa, ka, channels, stride: int, padding: str) -> None:
+    # What every k x k op checks after its own kernel-shape rule; channels None: a shared filter.
     if padding not in _PAD_MODES:
         raise ConfigError(f"unknown padding mode {padding!r}")
+    if xa.ndim != 4:
+        raise DimensionError(f"{op} input must be rank-4 NCHW, got rank {xa.ndim}", axis="n")
+    k = ka.shape[-1]
+    if k % 2 == 0:
+        raise ConfigError(f"{op} kernel size must be odd, got {k}")
+    if stride not in (1, 2):
+        raise ConfigError(f"{op} stride must be 1 or 2, got {stride}")
+    if channels is not None and xa.shape[1] != channels:
+        raise DimensionError(
+            f"{op} channel mismatch: input has {xa.shape[1]} channels, kernel expects {channels}",
+            axis="c",
+        )
+    _check_same_dtype(xa, ka)
 
 
 def _pad2d(a: np.ndarray, p: int, padding: str) -> np.ndarray:
@@ -169,25 +183,11 @@ def _shifted_sum(x: np.ndarray, kern: np.ndarray, stride: int, padding: str) -> 
 def conv2d(x, weight, *, stride: int = 1, padding: str = ZERO, bias=None) -> Tensor:
     """Standard 2-D convolution, ``(n,c_in,h,w) -> (n,c_out,h',w')``, plus an optional bias."""
     xa, wa = _data(x), _data(weight)
-    _check_padding(padding)
-    if xa.ndim != 4:
-        raise DimensionError(f"conv2d input must be rank-4 NCHW, got rank {xa.ndim}", axis="n")
     if wa.ndim != 4 or wa.shape[2] != wa.shape[3]:
         raise DimensionError(
             f"conv2d weight must be (c_out, c_in, k, k), got {wa.shape}", axis="k"
         )
-    k = wa.shape[2]
-    if k % 2 == 0:
-        raise ConfigError(f"conv2d kernel size must be odd, got {k}")
-    if stride not in (1, 2):
-        raise ConfigError(f"conv2d stride must be 1 or 2, got {stride}")
-    if xa.shape[1] != wa.shape[1]:
-        raise DimensionError(
-            f"conv2d channel mismatch: input has {xa.shape[1]} channels, "
-            f"weight expects {wa.shape[1]}",
-            axis="c",
-        )
-    _check_same_dtype(xa, wa)
+    _check_kxk("conv2d", xa, wa, wa.shape[1], stride, padding)
     return _biased(_conv2d_raw, (xa, wa, stride, padding), bias, wa.shape[0], "conv2d")
 
 
@@ -315,30 +315,9 @@ def depthwise_conv2d(x, kernel, *, stride: int = 1, padding: str = ZERO, bias=No
     filter of low rank runs as 1-D passes (see :func:`_low_rank`).
     """
     xa, ka = _data(x), _data(kernel)
-    _check_padding(padding)
-    if xa.ndim != 4:
-        raise DimensionError(f"depthwise input must be rank-4 NCHW, got rank {xa.ndim}", axis="n")
-    if ka.ndim == 4:
-        if ka.shape[1] != 1 or ka.shape[2] != ka.shape[3]:
-            raise DimensionError(f"depthwise kernel must be (c, 1, k, k), got {ka.shape}", axis="k")
-        if ka.shape[0] != xa.shape[1]:
-            raise DimensionError(
-                f"depthwise channel mismatch: input has {xa.shape[1]} channels, "
-                f"kernel has {ka.shape[0]}",
-                axis="c",
-            )
-        k = ka.shape[2]
-    elif ka.ndim == 2:
-        if ka.shape[0] != ka.shape[1]:
-            raise DimensionError(f"shared depthwise kernel must be square, got {ka.shape}", axis="k")
-        k = ka.shape[0]
-    else:
-        raise DimensionError(f"depthwise kernel must be rank 2 or 4, got rank {ka.ndim}", axis="k")
-    if k % 2 == 0:
-        raise ConfigError(f"depthwise kernel size must be odd, got {k}")
-    if stride not in (1, 2):
-        raise ConfigError(f"depthwise stride must be 1 or 2, got {stride}")
-    _check_same_dtype(xa, ka)
+    if ka.ndim not in (2, 4) or ka.shape[-2] != ka.shape[-1] or (ka.ndim == 4 and ka.shape[1] != 1):
+        raise DimensionError(f"depthwise kernel must be (c, 1, k, k) or (k, k), got {ka.shape}", axis="k")
+    _check_kxk("depthwise", xa, ka, ka.shape[0] if ka.ndim == 4 else None, stride, padding)
     return _biased(_depthwise_raw, (xa, ka, stride, padding), bias, xa.shape[1], "depthwise")
 
 

@@ -460,6 +460,21 @@ class TestEga:
         a = trace["s1.b1.ega.attention"]
         np.testing.assert_allclose(a.data, edge_attention(stem).data, rtol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("taped", [False, True], ids=["plain", "taped"])
+    def test_public_maps_are_the_stage_maps(self, rng, dtype, taped):
+        # The model's fixed kernels in the map's dtype, each from FIXED_KERNELS' float64 values.
+        pview = ParamView(tiny().astype(dtype).with_values(bb.FIXED_KERNELS))
+        x = Tensor(rng.normal(size=(2, 8, 17, 12)).astype(dtype))
+        if taped:
+            x = ag.Tape().leaf(x, name="x")
+        stages = {edge_attention: (1,), gaussian_attention: (2, 3, 4)}
+        for public, stage_list in stages.items():
+            got = bb._peek(public(x)).data
+            for stage in stage_list:
+                want = bb._peek(bb._stage_attention(x, stage, pview)).data
+                assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
     def test_zero_input_with_zero_final_conv(self):
         m = tiny().with_values({"s1.b1.ega.conv3": np.zeros((32, 32, 3, 3), dtype=np.float32)})
         x = Tensor(np.zeros((1, 32, 8, 8), dtype=np.float32))

@@ -628,6 +628,8 @@ BAD_INPUTS = [
     ("conv2d-weight-rank", lambda: ops.conv2d(_z(1, 1, 4, 4), _z(1, 3, 3)), DimensionError, "k"),
     ("conv2d-weight-not-square", lambda: ops.conv2d(_z(1, 1, 4, 4), _z(1, 1, 3, 1)),
      DimensionError, "k"),
+    ("conv2d-weight-dtype", lambda: ops.conv2d(_z(1, 1, 4, 4), np.zeros((1, 1, 3, 3))),
+     ContractError, None),
     ("conv-pair-input-rank", lambda: ops.conv_pair(_z(3, 4, 4), _z(4, 3, 3, 3), _z(4, 4, 3, 3)),
      DimensionError, "n"),
     ("conv-pair-weight-not-3x3", lambda: ops.conv_pair(_z(1, 3, 4, 4), _z(4, 3, 5, 5), _z(4, 4, 3, 3)),
@@ -638,6 +640,10 @@ BAD_INPUTS = [
      DimensionError, "w"),
     ("conv-pair-mixed-dtypes", lambda: ops.conv_pair(
         _z(1, 3, 4, 4), np.zeros((4, 3, 3, 3)), _z(4, 4, 3, 3)), ContractError, None),
+    ("conv-pair-zero-height", lambda: ops.conv_pair(_z(1, 3, 0, 4), _z(4, 3, 3, 3), _z(4, 4, 3, 3)),
+     DimensionError, "h"),
+    ("depthwise-padding-mode", lambda: ops.depthwise_conv2d(_z(1, 2, 4, 4), _z(3, 3), padding="reflect"),
+     ConfigError, None),
     ("depthwise-input-rank", lambda: ops.depthwise_conv2d(_z(1, 4, 4), _z(3, 3)),
      DimensionError, "n"),
     ("depthwise-kernel-shape", lambda: ops.depthwise_conv2d(_z(1, 2, 4, 4), _z(2, 2, 3, 3)),
@@ -650,6 +656,8 @@ BAD_INPUTS = [
      ConfigError, None),
     ("depthwise-stride", lambda: ops.depthwise_conv2d(_z(1, 2, 4, 4), _z(3, 3), stride=3),
      ConfigError, None),
+    ("depthwise-kernel-dtype", lambda: ops.depthwise_conv2d(_z(1, 2, 4, 4), np.zeros((3, 3))),
+     ContractError, None),
     ("conv2d-bias-shape", lambda: ops.conv2d(_z(1, 2, 4, 4), _z(3, 2, 1, 1), bias=_z(2)),
      DimensionError, "c"),
     ("conv2d-bias-dtype", lambda: ops.conv2d(_z(1, 2, 4, 4), _z(3, 2, 1, 1), bias=np.zeros(3)),
